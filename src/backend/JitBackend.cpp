@@ -134,7 +134,7 @@ static uint64_t jtcJitPutField(Machine *M, int64_t Ref, int64_t Slot,
 // check (Trace::MemElisions). NoNull keeps the bounds check but skips the
 // liveness/class check; Fast skips everything and so cannot trap at all
 // (the template emits no trap exit for it). Pop order, trap kinds and
-// Heap calls mirror Machine::execOneElided exactly.
+// Heap calls mirror the block executor's elided heap handlers exactly.
 
 static JitHelperResult jtcJitIaloadNoNull(Machine *M, int64_t Ref,
                                           int64_t Idx) {
@@ -623,7 +623,9 @@ void TraceCompiler::emitOp(const IrOp &Op) {
   }
 
   const Instruction &I = Op.I;
-  const int32_t LocalOff = I.A * 8; // for the local-slot ops
+  // For the local-slot ops; computed unsigned because A is an arbitrary
+  // immediate for the others (iconst), where * 8 may overflow int32.
+  const auto LocalOff = static_cast<int32_t>(static_cast<uint32_t>(I.A) * 8u);
   switch (I.Op) {
   case Opcode::Nop:
     break;

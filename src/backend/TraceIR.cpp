@@ -129,7 +129,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
       Depth += opPushes(Term.Op);
       MaxDepth = std::max(MaxDepth, Depth);
       IR.Ops.push_back(std::move(Op));
-      BlockId Succ = PM.blockStartingAt(BB.MethodId, BB.EndPc);
+      BlockId Succ = BB.Next;
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Static;
         IR.NextFall = Succ;
@@ -142,8 +142,7 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
     case OpKind::Jump: {
       // The jump drops out of the op stream (the block sequence encodes
       // it); it is still in the instruction counts via InstrPrefix.
-      BlockId Succ =
-          PM.blockStartingAt(BB.MethodId, static_cast<uint32_t>(Term.A));
+      BlockId Succ = BB.Taken;
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Static;
         IR.NextFall = Succ;
@@ -154,9 +153,8 @@ LowerResult lowerTrace(const PreparedModule &PM, const Trace &T,
     }
 
     case OpKind::Branch: {
-      BlockId TakenB =
-          PM.blockStartingAt(BB.MethodId, static_cast<uint32_t>(Term.A));
-      BlockId FallB = PM.blockStartingAt(BB.MethodId, BB.EndPc);
+      BlockId TakenB = BB.Taken;
+      BlockId FallB = BB.Next;
       Depth -= opPops(Term.Op); // asserts a direction: pops, pushes nothing
       if (FinalB) {
         IR.Complete = TraceIR::CompleteKind::Branch;

@@ -13,6 +13,15 @@ uint64_t fleet::ringHash(const std::string &Key) {
     H ^= C;
     H *= 1099511628211ull;
   }
+  // murmur3's fmix64 finalizer. Raw FNV-1a of keys that differ only in
+  // their last characters (every vnode label "node-N#V", every session
+  // key of one format) lands in clustered points, which skews the arcs
+  // even with 64 vnodes per node; the avalanche spreads them.
+  H ^= H >> 33;
+  H *= 0xff51afd7ed558ccdull;
+  H ^= H >> 33;
+  H *= 0xc4ceb9fe1a85ec53ull;
+  H ^= H >> 33;
   return H;
 }
 

@@ -24,8 +24,8 @@
 namespace jtc {
 namespace fleet {
 
-/// FNV-1a over \p Key, the ring's point hash (stable across processes,
-/// unlike std::hash).
+/// FNV-1a over \p Key with a 64-bit avalanche finalizer, the ring's point
+/// hash (stable across processes, unlike std::hash).
 uint64_t ringHash(const std::string &Key);
 
 class HashRing {

@@ -57,10 +57,10 @@ OverheadSample jtc::measureProfilerOverhead(const WorkloadInfo &W,
   S.PlainSeconds = 1e100;
   S.ProfiledSeconds = 1e100;
 
-  // The timed interpreter is the direct-threaded engine -- the same
-  // substrate class the paper measures against (a fast threaded
-  // SableVM); timing the slow reference interpreter instead would
-  // understate the relative profiling cost.
+  // The timed interpreter is the block executor TraceVM runs on -- a
+  // direct-threaded engine, the substrate class the paper measures
+  // against (a fast threaded SableVM); timing the slow reference
+  // interpreter instead would understate the relative profiling cost.
   ThreadedProgram TP(PM);
   for (int Rep = 0; Rep < Repeats; ++Rep) {
     // Plain direct-threaded-inlining interpreter: no per-dispatch hook.

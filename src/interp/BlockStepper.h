@@ -1,11 +1,15 @@
 //===- interp/BlockStepper.h - Fig. 2 dispatch model ------------*- C++ -*-===//
 ///
 /// \file
-/// The direct-threaded-inlining dispatch model of the paper's Figure 2:
-/// one dispatch per basic block. The stepper executes exactly one block
-/// per step() and exposes the resulting block transition, which is the
-/// event stream the profiler and trace cache consume. TraceVM drives a
-/// BlockStepper directly; plain runs use runBlocks().
+/// The dispatch model of the paper's Figure 2: one dispatch per basic
+/// block. step() is the VM's only block executor -- a direct-threaded
+/// (computed-goto) engine that runs a whole block over PreparedModule's
+/// resolved code, keeping the operand-stack top, the locals base and the
+/// heap in locals and writing them back to the Machine at the block's
+/// exit. The stepper exposes the resulting block transition, which is the
+/// event stream the profiler and trace cache consume. TraceVM, the trace
+/// backends and the baselines drive a BlockStepper directly; plain runs
+/// use runBlocks().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +61,7 @@ public:
 
   /// Arms check elision for the *next* step() only: \p Facts (\p Count
   /// entries, pc-ordered, all for the block about to execute) name the
-  /// heap accesses to run through Machine::execOneElided. The trace
+  /// heap accesses to run with reduced checks (MemElision::Kind). The trace
   /// backends arm this per trace block; the one-shot contract means an
   /// ordinary (non-trace) step can never execute reduced-check code. The
   /// caller guarantees the facts' proof obligations -- execution reached

@@ -60,6 +60,19 @@ PreparedModule::PreparedModule(const Module &Mod) : M(&Mod) {
       LeaderToBlock[MethodId][Start] = Id;
       Start = Pc + 1;
     }
+    EntryBlocks.push_back(LeaderToBlock[MethodId][0]);
+    MethodCode.push_back(Mth.Code.data());
+  }
+
+  // Pass 3: resolve each block's successors.
+  for (BasicBlock &BB : Blocks) {
+    const std::vector<BlockId> &Leaders = LeaderToBlock[BB.MethodId];
+    if (BB.EndPc < Leaders.size())
+      BB.Next = Leaders[BB.EndPc];
+    const Instruction &Last = Mod.Methods[BB.MethodId].Code[BB.EndPc - 1];
+    OpKind K = opKind(Last.Op);
+    if (K == OpKind::Branch || K == OpKind::Jump)
+      BB.Taken = Leaders[static_cast<uint32_t>(Last.A)];
   }
 }
 

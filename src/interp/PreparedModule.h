@@ -30,6 +30,12 @@ struct BasicBlock {
   uint32_t MethodId = 0;
   uint32_t StartPc = 0;
   uint32_t EndPc = 0;
+  // Resolved once, for the block executor:
+  /// The block led by EndPc -- the fallthrough, not-taken or call
+  /// continuation successor -- or InvalidBlockId past the method's end.
+  BlockId Next = InvalidBlockId;
+  /// The branch or goto target block, or InvalidBlockId.
+  BlockId Taken = InvalidBlockId;
 
   uint32_t numInstructions() const { return EndPc - StartPc; }
 };
@@ -65,7 +71,14 @@ public:
 
   /// Entry block of \p MethodId (its pc 0 block).
   BlockId methodEntryBlock(uint32_t MethodId) const {
-    return blockStartingAt(MethodId, 0);
+    assert(MethodId < EntryBlocks.size() && "invalid method");
+    return EntryBlocks[MethodId];
+  }
+
+  /// First instruction of \p MethodId's code.
+  const Instruction *methodCode(uint32_t MethodId) const {
+    assert(MethodId < MethodCode.size() && "invalid method");
+    return MethodCode[MethodId];
   }
 
   /// Entry block of the module's entry method.
@@ -83,6 +96,8 @@ private:
   std::vector<BasicBlock> Blocks;
   /// Per method, per pc: block id if pc is a leader, else InvalidBlockId.
   std::vector<std::vector<BlockId>> LeaderToBlock;
+  std::vector<BlockId> EntryBlocks;
+  std::vector<const Instruction *> MethodCode;
 };
 
 } // namespace jtc

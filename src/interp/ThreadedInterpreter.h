@@ -1,23 +1,12 @@
-//===- interp/ThreadedInterpreter.h - Direct-threaded engine ----*- C++ -*-===//
+//===- interp/ThreadedInterpreter.h - Whole-run block engine ----*- C++ -*-===//
 ///
 /// \file
-/// A direct-threaded execution engine in the style the paper's substrate
-/// (SableVM) actually uses: the whole module is flattened into one code
-/// array whose instructions carry the *address of their handler* (GNU
-/// labels-as-values; a tight switch loop on other compilers), so dispatch
-/// is a single indirect goto. Operand stack, locals and frames live in
-/// raw arrays.
-///
-/// This engine exists for the wall-clock experiments (paper Tables VI and
-/// VII): the relative cost of the per-block profiler hook is only
-/// meaningful against a fast interpreter. Semantics are identical to the
-/// Machine-based interpreters (enforced by differential tests).
-///
-/// Block-dispatch modelling: a "dispatch" happens whenever control enters
-/// a basic block, exactly as in BlockStepper. Fallthrough into a block
-/// leader costs a synthetic zero-operand dispatch instruction, mirroring
-/// the dispatch code a direct-threaded-inlining system appends to each
-/// block.
+/// A whole-run entry point over the block executor: ThreadedProgram runs a
+/// prepared module from a fresh Machine through runBlocks (or
+/// runBlocksWithHook, with the branch-correlation-graph hook at every
+/// block dispatch) and returns the outcome together with the program's
+/// output. It is what the wall-clock experiments (paper Tables VI and VII)
+/// time, so they measure the block path TraceVM ships.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +19,6 @@
 #include "runtime/Trap.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace jtc {
@@ -39,22 +27,16 @@ namespace jtc {
 struct ThreadedResult {
   RunStatus Status = RunStatus::Finished;
   TrapKind Trap = TrapKind::None;
-  uint64_t Instructions = 0;    ///< Real instructions (synthetics excluded).
+  uint64_t Instructions = 0;    ///< Instructions executed.
   uint64_t BlockDispatches = 0; ///< Block entries, as in the Fig. 2 model.
   std::vector<int64_t> Output;  ///< Iprint values, in order.
 };
 
-/// A module flattened for threaded execution. Construction resolves every
-/// branch target, call site and block boundary to flat indices; run() and
-/// runProfiled() then execute with no per-instruction decoding.
+/// Runs a prepared module, each run() on a fresh Machine.
 class ThreadedProgram {
 public:
-  /// Flattens \p PM. The PreparedModule must outlive this object.
-  explicit ThreadedProgram(const PreparedModule &PM);
-  ~ThreadedProgram();
-
-  ThreadedProgram(const ThreadedProgram &) = delete;
-  ThreadedProgram &operator=(const ThreadedProgram &) = delete;
+  /// The PreparedModule must outlive this object.
+  explicit ThreadedProgram(const PreparedModule &PM) : PM(&PM) {}
 
   /// Runs to completion with no profiling.
   ThreadedResult run(uint64_t MaxInstructions = ~0ull) const;
@@ -64,12 +46,8 @@ public:
   ThreadedResult runProfiled(BranchCorrelationGraph &Graph,
                              uint64_t MaxInstructions = ~0ull) const;
 
-  /// Flattened code size in slots (includes synthetic dispatch slots).
-  size_t codeSize() const;
-
 private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
+  const PreparedModule *PM;
 };
 
 } // namespace jtc

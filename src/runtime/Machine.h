@@ -2,11 +2,11 @@
 ///
 /// \file
 /// The Machine owns all mutable execution state (operand stack, locals,
-/// call frames, heap, output) and implements the semantics of every
-/// opcode. Both the per-instruction interpreter (Fig. 1 dispatch model)
-/// and the per-block direct-threaded interpreter (Fig. 2 model) drive the
-/// same Machine, so the two dispatch models agree on program behaviour by
-/// construction and differ only in dispatch granularity.
+/// call frames, heap, output). execOne() is the reference semantics of
+/// every opcode, one instruction at a time (the Fig. 1 dispatch model).
+/// The block executor (interp/BlockStepper, the Fig. 2 model) runs whole
+/// blocks directly on the same state; the differential tests and the
+/// fuzz oracle hold the two to identical behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,16 +61,6 @@ public:
   /// dispatch boundaries.
   Effect execOne(const Instruction &I);
 
-  /// Executes one *heap-access* instruction with its dynamic checks
-  /// reduced, for accesses the trace-path alias analysis proved cannot
-  /// fail them (trace/Trace.h's MemElision). \p Full skips every check;
-  /// otherwise only the liveness/class check is skipped and the
-  /// field/array bounds check remains. The caller asserts the proof: an
-  /// unjustified call is undefined behaviour (the same type-verified-
-  /// input assumption the validator's reference reasoning documents).
-  /// Non-heap opcodes fall back to execOne.
-  Effect execOneElided(const Instruction &I, bool Full);
-
   /// Pushes a frame for \p Callee, moving its arguments from the operand
   /// stack into the new locals. Returns false (and sets a StackOverflow
   /// trap) when the frame budget is exhausted.
@@ -109,14 +99,15 @@ public:
   // Raw operand-stack and local access, used by tests and by the machine
   // itself. The verifier guarantees stack discipline, so these assert
   // rather than trap.
-  void push(int64_t V) { Operands.push_back(V); }
-  int64_t pop() {
-    assert(Operands.size() > frameOperandBase() && "operand stack underflow");
-    int64_t V = Operands.back();
-    Operands.pop_back();
-    return V;
+  void push(int64_t V) {
+    reserveOperands(1);
+    Operands[OperandTop++] = V;
   }
-  size_t operandDepth() const { return Operands.size() - frameOperandBase(); }
+  int64_t pop() {
+    assert(OperandTop > frameOperandBase() && "operand stack underflow");
+    return Operands[--OperandTop];
+  }
+  size_t operandDepth() const { return OperandTop - frameOperandBase(); }
 
   int64_t local(uint32_t Idx) const {
     assert(!Frames.empty() && Idx < currentMethod().NumLocals);
@@ -130,12 +121,17 @@ public:
   // Arena access for the template JIT (src/backend): generated code works
   // on the raw operand and locals arrays through base pointers, and its
   // runtime helpers replicate execOne's heap/trap/output semantics.
-  // Pointers are invalidated by push/pop/resizeOperandStack and by frame
-  // operations; the JIT re-derives them per trace run and never executes
-  // native code across such an operation.
-  size_t operandStackSize() const { return Operands.size(); }
+  // Pointers are invalidated by push/resizeOperandStack and by frame
+  // operations (the arenas may reallocate); the JIT re-derives them per
+  // trace run and never executes native code across such an operation.
+  size_t operandStackSize() const { return OperandTop; }
   int64_t *operandStackData() { return Operands.data(); }
-  void resizeOperandStack(size_t N) { Operands.resize(N); }
+  /// Sets the operand-stack top to \p N, growing the arena when needed.
+  void resizeOperandStack(size_t N) {
+    if (N > Operands.size())
+      growOperands(N);
+    OperandTop = N;
+  }
   int64_t *currentLocalsData() {
     assert(!Frames.empty() && "no active frame");
     return Locals.data() + Frames.back().LocalsBase;
@@ -144,6 +140,9 @@ public:
   void appendOutput(int64_t V) { Output.push_back(V); }
 
 private:
+  // The block executor works on the arenas, frames and heap directly.
+  friend class BlockStepper;
+
   struct Frame {
     uint32_t MethodId = 0;
     uint32_t LocalsBase = 0;
@@ -155,6 +154,14 @@ private:
     return Frames.empty() ? 0 : Frames.back().OperandBase;
   }
 
+  /// Makes room for \p N more operands above the top.
+  void reserveOperands(size_t N) {
+    if (OperandTop + N > Operands.size())
+      growOperands(OperandTop + N);
+  }
+  /// Grows the operand arena to at least \p Need slots (geometrically).
+  void growOperands(size_t Need);
+
   Effect trapOut(TrapKind Kind) {
     TrapValue = Kind;
     return {EffectKind::Trap, 0, false};
@@ -162,8 +169,13 @@ private:
 
   const Module &TheModule;
   Heap TheHeap;
+  // Operand and locals arenas: only [0, OperandTop) and [0, LocalsTop)
+  // are live; the slots above are spare capacity, so pushes and frame
+  // pushes do not reallocate on the common path.
   std::vector<int64_t> Operands;
+  size_t OperandTop = 0;
   std::vector<int64_t> Locals;
+  size_t LocalsTop = 0;
   std::vector<Frame> Frames;
   std::vector<int64_t> Output;
   TrapKind TrapValue = TrapKind::None;

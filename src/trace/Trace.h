@@ -65,8 +65,8 @@ struct Trace {
   /// Check-elision facts, ordered by (BlockIndex, Pc), installed by the
   /// trace cache's annotate hook (AdaptiveEngine runs the alias analysis
   /// over the block sequence at construction time). Both execution tiers
-  /// honor them: the interpreter tier via Machine::execOneElided, the JIT
-  /// via unchecked helper templates. Empty when annotation is off or
+  /// honor them: the interpreter tier in BlockStepper's heap handlers,
+  /// the JIT via unchecked helper templates. Empty when annotation is off or
   /// nothing was provable. Purely an execution shortcut -- the elided
   /// checks are proven to pass, so behaviour and digests are unchanged.
   std::vector<MemElision> MemElisions;

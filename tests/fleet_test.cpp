@@ -28,8 +28,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <map>
+#include <random>
 #include <string>
 
 #include <csignal>
@@ -98,6 +100,31 @@ TEST(HashRing, VirtualNodesSpreadLoad) {
   for (uint32_t N = 0; N < 3; ++N) {
     EXPECT_GT(Share[N], Keys / 10u) << "node " << N;
     EXPECT_LT(Share[N], Keys * 2u / 3u) << "node " << N;
+  }
+}
+
+TEST(HashRing, TwoShardsSplitRandomSessionKeysEvenly) {
+  // The 2-shard split of session keys in the jtc-bench serve format
+  // ("k" + 16 hex digits of a random 64-bit value). Unfinalized FNV-1a
+  // clustered the vnode points and sent ~73% of these keys to one shard.
+  HashRing R;
+  R.add(0);
+  R.add(1);
+  std::mt19937_64 Rng(12);
+  std::map<uint32_t, unsigned> Share;
+  const unsigned Keys = 4000;
+  for (unsigned I = 0; I < Keys; ++I) {
+    char Key[32];
+    std::snprintf(Key, sizeof(Key), "k%016llx",
+                  static_cast<unsigned long long>(Rng()));
+    uint32_t Node = ~0u;
+    ASSERT_TRUE(R.route(Key, Node));
+    ++Share[Node];
+  }
+  for (uint32_t N = 0; N < 2; ++N) {
+    double Frac = static_cast<double>(Share[N]) / Keys;
+    EXPECT_GE(Frac, 0.35) << "node " << N;
+    EXPECT_LE(Frac, 0.65) << "node " << N;
   }
 }
 

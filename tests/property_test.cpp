@@ -68,7 +68,7 @@ TEST_P(RandomProgramProperty, TraceDispatchIsSemanticallyTransparent) {
   EXPECT_TRUE(fuzz::checkTraceVm(VM, R2.Status).empty())
       << fuzz::formatViolations(fuzz::checkTraceVm(VM, R2.Status));
 
-  // The direct-threaded engine agrees with the reference as well.
+  // The plain block executor agrees with the reference as well.
   ThreadedProgram TP(PM);
   ThreadedResult TR = TP.run(5000000);
   EXPECT_EQ(R1.Status, TR.Status);

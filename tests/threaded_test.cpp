@@ -1,4 +1,4 @@
-//===- tests/threaded_test.cpp - Direct-threaded engine -------------------===//
+//===- tests/threaded_test.cpp - Whole-run block-executor wrapper ---------===//
 
 #include "interp/ThreadedInterpreter.h"
 
@@ -116,16 +116,4 @@ TEST(ThreadedTest, ProfiledRunBuildsTheSameGraphAsTheStepper) {
     EXPECT_EQ(Graph.node(N).executions(), RefGraph.node(N).executions());
     EXPECT_EQ(Graph.node(N).state(), RefGraph.node(N).state());
   }
-}
-
-TEST(ThreadedTest, CodeSizeIncludesSyntheticDispatches) {
-  // The hot loop has at least one fallthrough block boundary (the join
-  // after the if/else), so the flat code exceeds the instruction count.
-  Module M = testprog::hotLoop(10);
-  size_t RawInstructions = 0;
-  for (const Method &Mth : M.Methods)
-    RawInstructions += Mth.Code.size();
-  PreparedModule PM(M);
-  ThreadedProgram TP(PM);
-  EXPECT_GT(TP.codeSize(), RawInstructions);
 }

@@ -16,7 +16,7 @@
 ///   --no-minimize        keep failing programs unreduced
 ///   --no-traps           generate total programs only
 ///   --no-net             skip the NET baseline engine
-///   --no-threaded        skip the direct-threaded engine
+///   --no-threaded        skip the plain block-executor run
 ///   --inject=<fault>     deliberately break the trace cache and expect
 ///                        the oracle to notice: skip-invalidation or
 ///                        skip-retirement (self-test mode)
