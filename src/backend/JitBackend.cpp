@@ -3,6 +3,7 @@
 #include "backend/JitBackend.h"
 
 #include "analysis/Analysis.h"
+#include "analysis/SessionAnalysis.h"
 #include "backend/InterpreterBackend.h"
 #include "backend/TraceIR.h"
 #include "backend/X64Emitter.h"
@@ -924,8 +925,9 @@ bool TraceCompiler::emit() {
 // JitBackend
 //===----------------------------------------------------------------------===//
 
-JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
-    : PM(PM), Config(Config) {}
+JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config,
+                       analysis::SessionAnalysis &Facts)
+    : PM(PM), Config(Config), Facts(Facts) {}
 
 JitBackend::~JitBackend() = default;
 
@@ -933,11 +935,7 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   if (Config.SimulateUnsupportedHost || !jitSupportedHost())
     return CompileFallback::HostUnsupported;
 
-  if (!Facts)
-    Facts = std::make_unique<analysis::ModuleAnalysis>(
-        analysis::ModuleAnalysis::compute(PM.module()));
-
-  LowerResult L = lowerTrace(PM, T, Facts.get());
+  LowerResult L = lowerTrace(PM, T, &Facts.get());
   if (!L.ok())
     return L.Why;
 
@@ -960,20 +958,18 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
 }
 
 const CompiledTrace *JitBackend::compiled(const Trace &T) {
-  auto It = Cache.find(T.Id);
-  if (It != Cache.end() && It->second.Blocks != T.Blocks) {
-    // The cache reused this trace id for a different block sequence; the
-    // old code is dead.
-    Cache.erase(It);
-    It = Cache.end();
+  if (T.Id < Cache.size() && Cache[T.Id].Attempted) {
+    assert((!Cache[T.Id].Fn || Cache[T.Id].InstrCount == T.InstrCount) &&
+           "trace id reused for a different trace");
+    return &Cache[T.Id];
   }
-  if (It != Cache.end())
-    return &It->second;
   if (T.Completed < Config.JitPromoteAfter)
     return nullptr; // not hot yet; keep interpreting
 
-  CompiledTrace C;
-  C.Blocks = T.Blocks;
+  if (T.Id >= Cache.size())
+    Cache.resize(T.Id + 1);
+  CompiledTrace &C = Cache[T.Id];
+  C.Attempted = true;
   CompileFallback Why = tryCompile(T, C);
   if (Why != CompileFallback::None) {
     C.Fn = nullptr;
@@ -984,7 +980,7 @@ const CompiledTrace *JitBackend::compiled(const Trace &T) {
   } else {
     ++Stats.TracesCompiled;
   }
-  return &Cache.emplace(T.Id, std::move(C)).first->second;
+  return &C;
 }
 
 TraceRunResult JitBackend::run(const Trace &T, TraceRunContext &Ctx) {

@@ -28,7 +28,7 @@
 /// one. Every exit -- completion, fired guard, trap, finish -- leaves an
 /// exit-record index in the JitContext; the record carries the
 /// interpreter-exact blocks-run / instruction counts and resume block
-/// that TraceVM replays through the AdaptiveEngine. Traces are promoted
+/// that TraceVM accounts through the AdaptiveEngine. Traces are promoted
 /// after BackendConfig::JitPromoteAfter completed runs; anything that
 /// cannot compile (see CompileFallback) and every pre-promotion dispatch
 /// runs on the embedded interpreter tier.
@@ -41,15 +41,9 @@
 #include "backend/TraceBackend.h"
 #include "runtime/Trap.h"
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace jtc {
-
-namespace analysis {
-class ModuleAnalysis;
-}
 
 namespace backend {
 
@@ -68,7 +62,7 @@ struct JitContext {
 };
 
 /// One way out of a compiled trace, with the interpreter-exact accounting
-/// TraceVM needs to replay the run.
+/// TraceVM needs to account the run.
 struct ExitRecord {
   enum class Kind : uint8_t {
     Complete,       ///< All blocks ran; Next is the final block's successor.
@@ -100,10 +94,11 @@ struct ExitRecord {
 
 using TraceFn = void (*)(JitContext *);
 
-/// One promotion outcome, cached per trace id. A null Fn records a failed
-/// promotion: the trace stays on the interpreter tier without retrying.
+/// One promotion outcome, cached per trace id. A null Fn after a
+/// promotion attempt records a failed promotion: the trace stays on the
+/// interpreter tier without retrying.
 struct CompiledTrace {
-  std::vector<BlockId> Blocks; ///< Identity check against id reuse.
+  bool Attempted = false; ///< Promotion ran (Fn says whether it compiled).
   TraceFn Fn = nullptr;
   std::vector<ExitRecord> Exits;
   uint32_t MaxPush = 0;
@@ -136,12 +131,17 @@ private:
 
 class JitBackend : public TraceBackend {
 public:
-  JitBackend(const PreparedModule &PM, const BackendConfig &Config);
+  /// \p Facts is the session's module analysis, borrowed for side-exit
+  /// liveness; it must outlive the backend.
+  JitBackend(const PreparedModule &PM, const BackendConfig &Config,
+             analysis::SessionAnalysis &Facts);
   ~JitBackend() override;
 
   const char *name() const override { return "jit"; }
   TraceRunResult run(const Trace &T, TraceRunContext &Ctx) override;
   void setTelemetry(EventRing *R) override { Telem = R; }
+
+  const analysis::SessionAnalysis &moduleAnalysis() const { return Facts; }
 
 private:
   /// The cached promotion outcome for \p T, compiling on first sight of a
@@ -152,10 +152,11 @@ private:
   const PreparedModule &PM;
   BackendConfig Config;
   EventRing *Telem = nullptr;
-  /// Liveness/value facts for side-exit annotation; computed on the first
-  /// promotion, reused for every trace.
-  std::unique_ptr<analysis::ModuleAnalysis> Facts;
-  std::unordered_map<TraceId, CompiledTrace> Cache;
+  analysis::SessionAnalysis &Facts;
+  /// Indexed by TraceId. Trace ids are never reused (the trace cache's
+  /// table only grows and a trace's blocks never change), so an entry
+  /// stays valid for the session.
+  std::vector<CompiledTrace> Cache;
   CodeArena Arena;
 };
 

@@ -8,11 +8,12 @@
 /// every block, every interior branch, the divergence or completion --
 /// belongs to exactly one TraceBackend::run() call. The backend executes
 /// instructions only; it never touches the profiler, the trace cache or
-/// the statistics. TraceVM replays the backend's summary through the
-/// AdaptiveEngine afterwards, block by block, so the adaptive state,
-/// telemetry clocks and btrace stream are bit-identical regardless of
-/// which backend ran -- that interp/JIT equivalence contract (same
-/// VmStats digest, same btrace stream) is what the fuzz oracle enforces.
+/// the statistics. TraceVM accounts the backend's summary through the
+/// AdaptiveEngine afterwards, once per run (the matched prefix in one
+/// step, the last block like a stepped block), so the adaptive state and
+/// btrace stream are bit-identical regardless of which backend ran --
+/// that interp/JIT equivalence contract (same VmStats digest, same btrace
+/// stream) is what the fuzz oracle enforces.
 ///
 /// Two backends ship:
 ///  - InterpreterBackend: block-steps the trace through BlockStepper /
@@ -42,6 +43,10 @@ class PreparedModule;
 class Machine;
 class BlockStepper;
 class EventRing;
+
+namespace analysis {
+class SessionAnalysis;
+} // namespace analysis
 
 namespace backend {
 
@@ -98,7 +103,7 @@ enum class TraceRunEnd : uint8_t {
              ///< backend only; the JIT never starts a run it cannot finish).
 };
 
-/// The summary TraceVM replays through the AdaptiveEngine. Instructions
+/// The summary TraceVM accounts through the AdaptiveEngine. Instructions
 /// and BlocksRun follow the interpreter's accounting exactly: a trapping
 /// instruction is counted, and the block it trapped in counts as run.
 struct TraceRunResult {
@@ -165,10 +170,13 @@ bool jitSupportedHost();
 /// jitSupportedHost() (and not Config.SimulateUnsupportedHost), Interp
 /// otherwise. Jit on an unsupported host still constructs a JitBackend;
 /// every promotion attempt then records a HostUnsupported fallback and
-/// runs through its embedded interpreter tier.
+/// runs through its embedded interpreter tier. \p Facts is the session's
+/// module analysis (borrowed by JIT lowering); it must outlive the
+/// backend.
 std::unique_ptr<TraceBackend> makeBackend(BackendKind Kind,
                                           const PreparedModule &PM,
-                                          const BackendConfig &Config);
+                                          const BackendConfig &Config,
+                                          analysis::SessionAnalysis &Facts);
 
 } // namespace backend
 } // namespace jtc

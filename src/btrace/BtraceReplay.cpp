@@ -2,6 +2,7 @@
 
 #include "btrace/BtraceReplay.h"
 
+#include "analysis/SessionAnalysis.h"
 #include "persist/Snapshot.h"
 #include "vm/AdaptiveEngine.h"
 
@@ -21,7 +22,8 @@ bool btrace::replayBtrace(const uint8_t *Data, size_t Size,
     return false;
 
   VmOptions Options = H.toOptions();
-  AdaptiveEngine Engine(PM, Options);
+  analysis::SessionAnalysis Facts(PM.module());
+  AdaptiveEngine Engine(PM, Options, Facts);
 
   ReplayResult R;
   if (H.hasSeed()) {

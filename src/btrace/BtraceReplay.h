@@ -3,14 +3,16 @@
 /// \file
 /// Deterministic re-execution of a captured session's *adaptive*
 /// behaviour from nothing but the .btc stream and the module. The
-/// decoded block sequence drives an AdaptiveEngine through exactly the
-/// calls the live TraceVM made -- same options, same warm-start seed,
-/// same transition order -- so the profiler, the trace cache and every
-/// VmStats counter recompute bit-identically. The replayed stats digest
-/// is compared against the digest the encoder recorded at run end: a
-/// match proves the stream captured everything the adaptive machinery
-/// depended on; a mismatch means the stream, the module or the engine
-/// diverged (which the fuzzer treats as a found bug).
+/// decoded block sequence drives an AdaptiveEngine block by block
+/// (executed/transition per block) -- same options, same warm-start
+/// seed, same transition order -- so the profiler, the trace cache and
+/// every VmStats counter recompute bit-identically. The live TraceVM
+/// accounts each trace run's matched prefix in one step instead; replay
+/// is the per-block reference that shortcut must match. The replayed
+/// stats digest is compared against the digest the encoder recorded at
+/// run end: a match proves the stream captured everything the adaptive
+/// machinery depended on; a mismatch means the stream, the module or the
+/// engine diverged (which the fuzzer treats as a found bug).
 ///
 //===----------------------------------------------------------------------===//
 

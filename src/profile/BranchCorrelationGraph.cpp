@@ -65,9 +65,10 @@ void BranchCorrelationGraph::resetContext() {
   Last = InvalidBlockId;
 }
 
-void BranchCorrelationGraph::forceContext(BlockId X, BlockId Y) {
+NodeId BranchCorrelationGraph::forceContext(BlockId X, BlockId Y) {
   Ctx = getOrCreateNode(X, Y);
   Last = Y;
+  return Ctx;
 }
 
 void BranchCorrelationGraph::onBlockDispatch(BlockId Next) {

@@ -171,8 +171,17 @@ public:
 
   /// Forces the context to pair (X, Y) without recording an execution;
   /// used to resynchronize after a trace dispatch, whose inlined blocks
-  /// carry no profiling hooks. Creates the node lazily if needed.
-  void forceContext(BlockId X, BlockId Y);
+  /// carry no profiling hooks. Creates the node lazily if needed and
+  /// returns its id.
+  NodeId forceContext(BlockId X, BlockId Y);
+
+  /// forceContext for a node id an earlier forceContext returned (nodes
+  /// are never removed, so the id stays valid): no pair lookup.
+  void setContext(NodeId Id) {
+    assert(Id < Nodes.size() && "invalid node id");
+    Ctx = Id;
+    Last = Nodes[Id].To;
+  }
 
   //===--- Introspection (trace builder API) -------------------------===//
 

@@ -42,7 +42,9 @@ public:
   uint64_t interval() const { return Interval; }
 
   /// The clock value at (or past) which the next sample is due; the VM
-  /// compares BlocksExecuted against this once per block.
+  /// compares BlocksExecuted against this after every block it steps and
+  /// after every trace run, so a sample can land past this point by up to
+  /// one trace's length.
   uint64_t nextSampleAt() const { return NextAt; }
 
   /// Takes one sample. \p Cur must be a complete snapshot (the VM

@@ -59,6 +59,9 @@ struct Trace {
   std::vector<BlockId> Blocks;         ///< B0..Bn; always >= 2 blocks.
   double ExpectedCompletion = 1.0;
   uint32_t InstrCount = 0; ///< Total instructions over Blocks.
+  /// InstrBefore[I]: instructions in Blocks[0..I), so a run's matched
+  /// prefix is accounted without walking it.
+  std::vector<uint32_t> InstrBefore;
   bool Alive = true;       ///< False once replaced by a newer trace.
   TraceValidation Validation = TraceValidation::Unchecked;
 

@@ -27,6 +27,27 @@ uint64_t TraceCache::contentHash(BlockId EntryFrom,
   return H;
 }
 
+Trace TraceCache::makeTrace(BlockId EntryFrom,
+                            const std::vector<BlockId> &Blocks) const {
+  Trace T;
+  T.Id = static_cast<TraceId>(Traces.size());
+  T.EntryFrom = EntryFrom;
+  T.Blocks = Blocks;
+  T.InstrBefore.reserve(Blocks.size());
+  for (BlockId B : Blocks) {
+    T.InstrBefore.push_back(T.InstrCount);
+    if (BlockSize)
+      T.InstrCount += BlockSize(B);
+  }
+  return T;
+}
+
+void TraceCache::markEntryHead(BlockId B) {
+  if (B >= EntryHead.size())
+    EntryHead.resize(B + 1, 0);
+  EntryHead[B] = 1;
+}
+
 void TraceCache::onStateChange(NodeId Id) {
   ++Stats.SignalsHandled;
   TraceBuilder::BuildResult R = Builder.build(Id);
@@ -91,6 +112,7 @@ void TraceCache::install(const TraceCandidate &C) {
       if (!T.Alive || T.EntryFrom != C.EntryFrom || T.Blocks != C.Blocks)
         continue;
       auto [It, Inserted] = EntryMap.try_emplace(EntryKey, Id);
+      markEntryHead(C.Blocks[0]);
       if (!Inserted && It->second != Id) {
         JTC_RECORD_EVENT(Telem, EventKind::TraceReplaced, It->second, Id);
         Traces[It->second].Alive = false;
@@ -107,16 +129,11 @@ void TraceCache::install(const TraceCandidate &C) {
     }
   }
 
-  Trace T;
-  T.Id = static_cast<TraceId>(Traces.size());
-  T.EntryFrom = C.EntryFrom;
-  T.Blocks = C.Blocks;
+  Trace T = makeTrace(C.EntryFrom, C.Blocks);
   T.ExpectedCompletion = C.Completion;
-  if (BlockSize)
-    for (BlockId B : T.Blocks)
-      T.InstrCount += BlockSize(B);
 
   auto [It, Inserted] = EntryMap.try_emplace(EntryKey, T.Id);
+  markEntryHead(C.Blocks[0]);
   if (!Inserted) {
     JTC_RECORD_EVENT(Telem, EventKind::TraceReplaced, It->second, T.Id);
     Traces[It->second].Alive = false;
@@ -212,20 +229,16 @@ void TraceCache::seedTraces(const std::vector<TraceSeed> &Seeds) {
   for (const TraceSeed &S : Seeds) {
     assert(S.Blocks.size() >= 2 && "degenerate seeded trace");
     uint64_t EntryKey = pairKey(S.EntryFrom, S.Blocks[0]);
-    Trace T;
-    T.Id = static_cast<TraceId>(Traces.size());
-    T.EntryFrom = S.EntryFrom;
-    T.Blocks = S.Blocks;
-    T.ExpectedCompletion = S.ExpectedCompletion;
-    if (BlockSize)
-      for (BlockId B : T.Blocks)
-        T.InstrCount += BlockSize(B);
     // Live traces have unique entry pairs, so a colliding seed means the
     // donor list itself is malformed; keep the first and drop the rest.
-    auto [It, Inserted] = EntryMap.try_emplace(EntryKey, T.Id);
+    auto [It, Inserted] =
+        EntryMap.try_emplace(EntryKey, static_cast<TraceId>(Traces.size()));
     (void)It;
     if (!Inserted)
       continue;
+    markEntryHead(S.Blocks[0]);
+    Trace T = makeTrace(S.EntryFrom, S.Blocks);
+    T.ExpectedCompletion = S.ExpectedCompletion;
     ByContent[contentHash(T.EntryFrom, T.Blocks)].push_back(T.Id);
     applyValidation(T);
     Traces.push_back(std::move(T));

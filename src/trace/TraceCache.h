@@ -74,6 +74,10 @@ public:
   /// Trace entered by the block transition (\p From -> \p To), or null.
   /// This is the per-dispatch lookup the interpreter performs.
   const Trace *findTrace(BlockId From, BlockId To) const {
+    // Most transitions lead into blocks no trace starts at; the head bit
+    // answers those without hashing.
+    if (To >= EntryHead.size() || !EntryHead[To])
+      return nullptr;
     auto It = EntryMap.find(pairKey(From, To));
     return It == EntryMap.end() ? nullptr : &Traces[It->second];
   }
@@ -143,6 +147,11 @@ public:
 
 private:
   void install(const TraceCandidate &C);
+  /// A fresh Trace for (\p EntryFrom, \p Blocks) with the next id and its
+  /// instruction counts filled in.
+  Trace makeTrace(BlockId EntryFrom, const std::vector<BlockId> &Blocks) const;
+  /// Records that an EntryMap key with head block \p B exists.
+  void markEntryHead(BlockId B);
   /// Runs the validate hook (if any) over a just-built trace, recording
   /// the verdict on the trace, in stats and in telemetry.
   void applyValidation(Trace &T);
@@ -159,6 +168,9 @@ private:
   std::vector<Trace> Traces;
   /// (EntryFrom, Blocks[0]) pair key -> live trace id.
   std::unordered_map<uint64_t, TraceId> EntryMap;
+  /// Per block: some EntryMap key has ever had it as Blocks[0]. Never
+  /// cleared, so a stale bit only costs findTrace the hash lookup.
+  std::vector<uint8_t> EntryHead;
   /// Content hash -> all trace ids ever built with that hash.
   std::unordered_map<uint64_t, std::vector<TraceId>> ByContent;
   /// Entry keys and trace ids installed or reused by the in-progress

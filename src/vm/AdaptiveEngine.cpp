@@ -3,19 +3,28 @@
 #include "vm/AdaptiveEngine.h"
 
 #include "analysis/Analysis.h"
+#include "analysis/SessionAnalysis.h"
 #include "validate/Validator.h"
 
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 using namespace jtc;
 
+static_assert(!std::is_copy_constructible_v<AdaptiveEngine> &&
+                  !std::is_move_constructible_v<AdaptiveEngine> &&
+                  !std::is_move_assignable_v<AdaptiveEngine>,
+              "the cache hooks capture the engine's address");
+
 AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
-                               const VmOptions &Options)
+                               const VmOptions &Options,
+                               analysis::SessionAnalysis &Facts)
     : PM(&PM), Options(&Options), Graph(Options.profilerConfig()),
       Cache(Graph, Options.traceConfig(),
-            [P = &PM](BlockId B) { return P->blockSize(B); }) {
+            [P = &PM](BlockId B) { return P->blockSize(B); }),
+      Facts(Facts) {
   // Trace construction is driven by profiler signals, so trace dispatch
   // requires profiling.
   if (Options.profiling() && Options.traces()) {
@@ -28,20 +37,9 @@ AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
   }
 }
 
-AdaptiveEngine::~AdaptiveEngine() = default;
-AdaptiveEngine::AdaptiveEngine(AdaptiveEngine &&) noexcept = default;
-AdaptiveEngine &AdaptiveEngine::operator=(AdaptiveEngine &&) noexcept = default;
-
-const analysis::ModuleAnalysis &AdaptiveEngine::moduleFacts() {
-  if (!Facts)
-    Facts = std::make_unique<analysis::ModuleAnalysis>(
-        analysis::ModuleAnalysis::compute(PM->module()));
-  return *Facts;
-}
-
 TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
   validate::Result R =
-      validate::validateTrace(*PM, T, Options->optConfig(), &moduleFacts());
+      validate::validateTrace(*PM, T, Options->optConfig(), &Facts.get());
   if (!R.Ok && Options->validate() == ValidateMode::Strict) {
     std::fprintf(stderr,
                  "jtc: --validate=strict: trace %u rejected by translation "
@@ -53,7 +51,7 @@ TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) 
 }
 
 void AdaptiveEngine::annotateCandidate(Trace &T) {
-  const analysis::ModuleAnalysis &A = moduleFacts();
+  const analysis::ModuleAnalysis &A = Facts.get();
   std::vector<analysis::TraceBlockSpan> Spans;
   Spans.reserve(T.Blocks.size());
   for (BlockId B : T.Blocks) {
@@ -105,27 +103,10 @@ void AdaptiveEngine::begin(BlockId Entry) {
     Graph.onBlockDispatch(Entry);
 }
 
-void AdaptiveEngine::executed(BlockId Cur) {
-  ++Stats.BlocksExecuted;
-  if (Active) {
-    ++Stats.BlocksInTraces;
-    Stats.InstructionsInTraces += PM->blockSize(Cur);
-    if (TracePos + 1 == Active->Blocks.size())
-      completeActiveTrace(); // the trace's last block just ran
-  }
-}
-
-void AdaptiveEngine::transition(BlockId Cur, BlockId Next) {
-  if (Active) {
-    if (Next == Active->Blocks[TracePos + 1]) {
-      ++TracePos; // matched; stay inside the trace, no hook, no dispatch
-    } else {
-      exitActiveTraceEarly(TracePos + 1);
-      onNonTraceTransition(Cur, Next);
-    }
-  } else {
-    onNonTraceTransition(Cur, Next);
-  }
+void AdaptiveEngine::transitionSlow(BlockId Cur, BlockId Next) {
+  if (Active)
+    exitActiveTraceEarly(TracePos + 1);
+  onNonTraceTransition(Cur, Next);
 }
 
 void AdaptiveEngine::endRun() {
@@ -169,11 +150,18 @@ void AdaptiveEngine::completeActiveTrace() {
                    static_cast<uint32_t>(Active->Blocks.size()));
   // The inlined blocks carried no profiling hooks; resynchronize the
   // context from the trace's final block pair.
-  if (Options->profiling()) {
-    size_t N = Active->Blocks.size();
-    Graph.forceContext(Active->Blocks[N - 2], Active->Blocks[N - 1]);
-  }
   TraceId Id = Active->Id;
+  if (Options->profiling()) {
+    if (Id >= CompletionNode.size())
+      CompletionNode.resize(Cache.traces().size(), InvalidNodeId);
+    NodeId &Node = CompletionNode[Id];
+    if (Node == InvalidNodeId) {
+      size_t N = Active->Blocks.size();
+      Node = Graph.forceContext(Active->Blocks[N - 2], Active->Blocks[N - 1]);
+    } else {
+      Graph.setContext(Node);
+    }
+  }
   Active = nullptr;
   TracePos = 0;
   // After Active is cleared: the bookkeeping may retire the trace and

@@ -13,7 +13,11 @@
 ///
 /// The engine owns everything adaptive (branch correlation graph, trace
 /// cache, statistics, active-trace tracking); it knows nothing about the
-/// Machine, the Stepper, or instruction execution.
+/// Machine, the Stepper, or instruction execution. The live driver may
+/// also account the matched prefix of a dispatched trace in one
+/// advanceInTrace() call instead of executed/transition per block; the
+/// result is identical, and btrace replay (which always drives block by
+/// block) is the reference it is checked against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +31,13 @@
 #include "vm/VmOptions.h"
 #include "vm/VmStats.h"
 
-#include <memory>
+#include <cassert>
+#include <vector>
 
 namespace jtc {
 
 namespace analysis {
-class ModuleAnalysis;
+class SessionAnalysis;
 } // namespace analysis
 
 /// Portable profiler + trace-cache state captured from a mature session
@@ -52,15 +57,16 @@ struct VmSeed {
 /// stream. See the file comment for the driver contract.
 class AdaptiveEngine {
 public:
-  /// \p PM and \p Options must outlive the engine.
-  AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options);
-  ~AdaptiveEngine(); // out of line: ModuleAnalysis is incomplete here
+  /// \p PM, \p Options and \p Facts must outlive the engine. \p Facts is
+  /// the session's module analysis, shared with the other consumers of the
+  /// session (the JIT backend's lowering).
+  AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options,
+                 analysis::SessionAnalysis &Facts);
 
-  // Movable so TraceVM factories can return by value (the move is elided
-  // in practice; like the Graph/Cache cross-references, the validation
-  // hook's self-pointer does not survive a genuine move).
-  AdaptiveEngine(AdaptiveEngine &&) noexcept;
-  AdaptiveEngine &operator=(AdaptiveEngine &&) noexcept;
+  // The cache hooks and the graph's signal sink point back into the
+  // engine, so it stays where it was built.
+  AdaptiveEngine(const AdaptiveEngine &) = delete;
+  AdaptiveEngine &operator=(const AdaptiveEngine &) = delete;
 
   /// Attaches the telemetry ring (propagated to the profiler and cache);
   /// null detaches.
@@ -70,11 +76,40 @@ public:
   void begin(BlockId Entry);
 
   /// \p Cur was just executed: trace accounting and completion detection.
-  void executed(BlockId Cur);
+  void executed(BlockId Cur) {
+    ++Stats.BlocksExecuted;
+    if (Active) {
+      ++Stats.BlocksInTraces;
+      Stats.InstructionsInTraces += PM->blockSize(Cur);
+      if (TracePos + 1 == Active->Blocks.size())
+        completeActiveTrace(); // the trace's last block just ran
+    }
+  }
 
   /// Control passed from \p Cur to \p Next: match against the active
   /// trace or run the profiler hook + trace-entry lookup.
-  void transition(BlockId Cur, BlockId Next);
+  void transition(BlockId Cur, BlockId Next) {
+    if (Active && Next == Active->Blocks[TracePos + 1]) {
+      ++TracePos; // matched; stay inside the trace, no hook, no dispatch
+      return;
+    }
+    transitionSlow(Cur, Next);
+  }
+
+  /// The next \p Blocks blocks of the active trace executed and each
+  /// passed control to its recorded successor: exactly what that many
+  /// executed()/transition() pairs would account, in O(1). The trace's
+  /// final block is never part of such a prefix (it goes through
+  /// executed(), which detects completion).
+  void advanceInTrace(uint32_t Blocks) {
+    assert(Active && TracePos + Blocks < Active->Blocks.size() &&
+           "prefix must stop before the trace's last block");
+    Stats.BlocksExecuted += Blocks;
+    Stats.BlocksInTraces += Blocks;
+    Stats.InstructionsInTraces += Active->InstrBefore[TracePos + Blocks] -
+                                  Active->InstrBefore[TracePos];
+    TracePos += Blocks;
+  }
 
   /// The run ended (finish, trap or budget); an active trace is exited
   /// early.
@@ -107,6 +142,10 @@ public:
   const TraceCache &traceCache() const { return Cache; }
 
 private:
+  /// transition() when no trace is active or \p Next leaves the active
+  /// trace.
+  void transitionSlow(BlockId Cur, BlockId Next);
+
   /// Handles the transition (\p Cur -> \p Next) when not inside a trace:
   /// profiler hook, then trace-entry lookup.
   void onNonTraceTransition(BlockId Cur, BlockId Next);
@@ -130,19 +169,20 @@ private:
   /// redundant on the trace path, for both execution tiers to skip.
   void annotateCandidate(Trace &T);
 
-  /// The lazily computed per-module analysis shared by validation and
-  /// annotation.
-  const analysis::ModuleAnalysis &moduleFacts();
-
   const PreparedModule *PM;
   const VmOptions *Options;
   BranchCorrelationGraph Graph;
   TraceCache Cache;
   VmStats Stats;
   EventRing *Telem = nullptr;
-  /// Dataflow facts for guard-justified validation, computed lazily on
-  /// the first trace validated (never on the dispatch path).
-  std::unique_ptr<analysis::ModuleAnalysis> Facts;
+  /// Dataflow facts for validation and annotation, computed lazily on the
+  /// first trace constructed (never on the dispatch path).
+  analysis::SessionAnalysis &Facts;
+  /// Per trace id: the graph node of the trace's final block pair,
+  /// resolved on its first completion. Nodes are never removed, so the id
+  /// stays valid for the session and later completions skip the pair
+  /// lookup when resynchronizing the profiler context.
+  std::vector<NodeId> CompletionNode;
 
   // Active-trace state.
   const Trace *Active = nullptr;

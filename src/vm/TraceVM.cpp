@@ -3,14 +3,20 @@
 #include "vm/TraceVM.h"
 
 #include <cassert>
+#include <type_traits>
 
 using namespace jtc;
 
+static_assert(!std::is_copy_constructible_v<TraceVM> &&
+                  !std::is_move_constructible_v<TraceVM> &&
+                  !std::is_move_assignable_v<TraceVM>,
+              "the stepper, engine and backend point into the session");
+
 TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
     : PM(&PM), Options(Options), Mach(PM.module()), Stepper(PM, Mach),
-      Engine(PM, this->Options),
+      Facts(PM.module()), Engine(PM, this->Options, Facts),
       Backend(backend::makeBackend(this->Options.backend(), PM,
-                                   this->Options.backendConfig())) {
+                                   this->Options.backendConfig(), Facts)) {
 #ifdef JTC_TELEMETRY
   if (this->Options.telemetry()) {
     Ring = EventRing(this->Options.telemetryCapacity(),
@@ -63,10 +69,7 @@ RunResult TraceVM::run() {
 
     BlockStepper::StepStatus S = Stepper.step(); // executes Cur
     Engine.executed(Cur);
-#ifdef JTC_TELEMETRY
-    if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-      Sampler.sample(Stats.BlocksExecuted, currentStats());
-#endif
+    sampleIfDue();
 
     if (S != BlockStepper::StepStatus::Continue) {
       Engine.endRun();
@@ -105,35 +108,20 @@ bool TraceVM::runActiveTrace(const Trace &T, RunResult &R) {
   backend::TraceRunResult TR = Backend->run(T, Ctx);
   assert(TR.BlocksRun >= 1 && "a dispatched trace executes at least a block");
 
-  // Replay the summary through the engine in exactly the live loop's
-  // per-block order (executed, sampler, status, budget, sink, transition)
-  // so every BlocksExecuted-stamped clock and the btrace stream are
-  // bit-identical to a block-stepped run. The trace pointer stays valid
-  // throughout: the cache mutates only inside the *final* engine call of
-  // this replay (completeActiveTrace inside the last executed(), or
-  // exitActiveTraceEarly inside the last transition()/endRun()), and every
-  // read of T happens before it.
-  VmStats &Stats = Engine.stats();
-  (void)Stats;
-  for (uint32_t I = 0; I + 1 < TR.BlocksRun; ++I) {
-    BlockId B = T.Blocks[I];
-    BlockId Next = T.Blocks[I + 1];
-    Engine.executed(B);
-#ifdef JTC_TELEMETRY
-    if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-      Sampler.sample(Stats.BlocksExecuted, currentStats());
-#endif
-    if (Sink)
-      Sink->onTransition(B, Next);
-    Engine.transition(B, Next);
-  }
+  // Every block before the last ran to its end and passed control to its
+  // recorded successor; the engine accounts that prefix in one step. The
+  // last block takes the live loop's per-block path, whose engine calls
+  // are the only ones that can change the cache: T stays valid until
+  // executed(Last) below, and every read of it happens before.
+  const uint32_t Prefix = TR.BlocksRun - 1;
+  Engine.advanceInTrace(Prefix);
+  if (Sink)
+    for (uint32_t I = 0; I < Prefix; ++I)
+      Sink->onTransition(T.Blocks[I], T.Blocks[I + 1]);
 
-  BlockId Last = T.Blocks[TR.BlocksRun - 1];
+  BlockId Last = T.Blocks[Prefix];
   Engine.executed(Last); // completes the trace when TR.End == Completed
-#ifdef JTC_TELEMETRY
-  if (Sampler.enabled() && Stats.BlocksExecuted >= Sampler.nextSampleAt())
-    Sampler.sample(Stats.BlocksExecuted, currentStats());
-#endif
+  sampleIfDue();         // once per trace run, after its last block
 
   switch (TR.End) {
   case backend::TraceRunEnd::Finished:

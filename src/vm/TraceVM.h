@@ -18,8 +18,9 @@
 /// trace matching, statistics) lives in AdaptiveEngine so it can also be
 /// driven by a decoded btrace stream; TraceVM contributes the execution
 /// half (Machine + BlockStepper) and feeds the engine the live transition
-/// stream. An optional BlockTransitionSink observes that same stream,
-/// which is how the btrace encoder captures a session.
+/// stream -- block by block outside traces, one accounting step per trace
+/// run inside them. An optional BlockTransitionSink observes the full
+/// stream, which is how the btrace encoder captures a session.
 ///
 /// A TraceVM is one *session*: it is configured once through VmOptions,
 /// runs once, and is then discarded. Profile state can be carried between
@@ -31,6 +32,7 @@
 #ifndef JTC_VM_TRACEVM_H
 #define JTC_VM_TRACEVM_H
 
+#include "analysis/SessionAnalysis.h"
 #include "backend/TraceBackend.h"
 #include "interp/BlockStepper.h"
 #include "telemetry/EventRing.h"
@@ -54,6 +56,11 @@ class TraceVM {
 public:
   /// \p PM must outlive the VM.
   explicit TraceVM(const PreparedModule &PM, VmOptions Options = VmOptions());
+
+  // The stepper, engine and backend hold pointers into the session's own
+  // members, so a session stays where it was built.
+  TraceVM(const TraceVM &) = delete;
+  TraceVM &operator=(const TraceVM &) = delete;
 
   /// Runs the module's entry method to completion (or trap / instruction
   /// budget) and returns the outcome. See the class comment for the
@@ -104,22 +111,38 @@ public:
   const PreparedModule &prepared() const { return *PM; }
   const BranchCorrelationGraph &graph() const { return Engine.graph(); }
   const TraceCache &traceCache() const { return Engine.traceCache(); }
+  /// The session's module analysis, shared by validation, elision
+  /// annotation and JIT lowering.
+  const analysis::SessionAnalysis &moduleAnalysis() const { return Facts; }
   Machine &machine() { return Mach; }
   const Machine &machine() const { return Mach; }
 
 private:
   /// Runs the trace AdaptiveEngine just entered through the backend, then
-  /// replays the summary through the engine (executed/transition per
-  /// block, in the live loop's exact order) so adaptive state, telemetry
-  /// clocks and the btrace stream are bit-identical across backends.
-  /// Returns false when the run ended inside the trace (finish / trap /
-  /// budget), with \p R filled in; true to continue the dispatch loop.
+  /// accounts the run once: the matched prefix in one advanceInTrace()
+  /// call, the last block through the live loop's per-block path
+  /// (completion, divergence, trap, budget). Adaptive state, counters and
+  /// the btrace stream are bit-identical to a block-stepped run and across
+  /// backends. Returns false when the run ended inside the trace (finish /
+  /// trap / budget), with \p R filled in; true to continue the dispatch
+  /// loop.
   bool runActiveTrace(const Trace &T, RunResult &R);
+
+  /// Takes a phase sample when the logical clock has reached the next
+  /// sample point.
+  void sampleIfDue() {
+#ifdef JTC_TELEMETRY
+    uint64_t Clock = Engine.stats().BlocksExecuted;
+    if (Sampler.enabled() && Clock >= Sampler.nextSampleAt())
+      Sampler.sample(Clock, currentStats());
+#endif
+  }
 
   const PreparedModule *PM;
   VmOptions Options;
   Machine Mach;
   BlockStepper Stepper;
+  analysis::SessionAnalysis Facts;
   AdaptiveEngine Engine;
   std::unique_ptr<backend::TraceBackend> Backend;
 

@@ -276,14 +276,15 @@ TEST(BackendTest, CompileFailureFallsBackToInterpreter) {
 TEST(BackendTest, AutoResolvesPerHostSupport) {
   Module M = testprog::hotLoop(100);
   PreparedModule PM(M);
+  analysis::SessionAnalysis Facts(M);
   backend::BackendConfig Unsupported;
   Unsupported.SimulateUnsupportedHost = true;
   std::unique_ptr<backend::TraceBackend> B = backend::makeBackend(
-      backend::BackendKind::Auto, PM, Unsupported);
+      backend::BackendKind::Auto, PM, Unsupported, Facts);
   EXPECT_STREQ("interp", B->name());
   if (hostHasJit()) {
     std::unique_ptr<backend::TraceBackend> J = backend::makeBackend(
-        backend::BackendKind::Auto, PM, backend::BackendConfig());
+        backend::BackendKind::Auto, PM, backend::BackendConfig(), Facts);
     EXPECT_STREQ("jit", J->name());
   }
 }

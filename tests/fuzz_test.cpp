@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace jtc;
 using namespace jtc::fuzz;
 
@@ -261,15 +263,16 @@ Module retirementProbe(int32_t Calls, int32_t Trip) {
 }
 
 /// Runs \p M under an aggressive trace config with \p Fault injected.
-TraceVM runProbe(const PreparedModule &PM, CacheFault Fault, RunStatus *S) {
-  TraceVM VM(PM, VmOptions()
-                     .completionThreshold(1.0)
-                     .startStateDelay(1)
-                     .decayInterval(32)
-                     .telemetry(true)
-                     .telemetryCapacity(1u << 18)
-                     .cacheFault(Fault));
-  *S = VM.run().Status;
+std::unique_ptr<TraceVM> runProbe(const PreparedModule &PM, CacheFault Fault,
+                                  RunStatus *S) {
+  auto VM = std::make_unique<TraceVM>(PM, VmOptions()
+                                              .completionThreshold(1.0)
+                                              .startStateDelay(1)
+                                              .decayInterval(32)
+                                              .telemetry(true)
+                                              .telemetryCapacity(1u << 18)
+                                              .cacheFault(Fault));
+  *S = VM->run().Status;
   return VM;
 }
 
@@ -302,7 +305,8 @@ PreparedModule *RetirementProbeTest::PM = nullptr;
 
 TEST_F(RetirementProbeTest, RetirementFiresOnBehaviourShift) {
   RunStatus S;
-  TraceVM Good = runProbe(*PM, CacheFault::None, &S);
+  std::unique_ptr<TraceVM> GoodOwner = runProbe(*PM, CacheFault::None, &S);
+  TraceVM &Good = *GoodOwner;
   EXPECT_GT(Good.stats().TracesRetired, 0u)
       << "the healthy cache must retire the warmup trace once its "
          "observed completion collapses";
@@ -312,7 +316,8 @@ TEST_F(RetirementProbeTest, RetirementFiresOnBehaviourShift) {
 
 TEST_F(RetirementProbeTest, SkipRetirementFaultSuppressesItAndIsFlagged) {
   RunStatus S;
-  TraceVM Bad = runProbe(*PM, CacheFault::SkipRetirement, &S);
+  std::unique_ptr<TraceVM> BadOwner = runProbe(*PM, CacheFault::SkipRetirement, &S);
+  TraceVM &Bad = *BadOwner;
   EXPECT_EQ(Bad.stats().TracesRetired, 0u);
   std::vector<Violation> Vs = checkTraceVm(Bad, S);
   bool SawRetirementLaw = false;
@@ -329,8 +334,10 @@ TEST_F(RetirementProbeTest, ProbeRunsAreDeterministic) {
   // must agree bit-for-bit -- the invariant that lets this fixture share
   // one instance across cases and test binaries under `ctest -j`.
   RunStatus S1, S2;
-  TraceVM A = runProbe(*PM, CacheFault::None, &S1);
-  TraceVM B = runProbe(*PM, CacheFault::None, &S2);
+  std::unique_ptr<TraceVM> AOwner = runProbe(*PM, CacheFault::None, &S1);
+  TraceVM &A = *AOwner;
+  std::unique_ptr<TraceVM> BOwner = runProbe(*PM, CacheFault::None, &S2);
+  TraceVM &B = *BOwner;
   EXPECT_EQ(S1, S2);
   EXPECT_EQ(A.machine().output(), B.machine().output());
   EXPECT_EQ(A.stats().digest(), B.stats().digest());

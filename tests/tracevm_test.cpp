@@ -3,9 +3,14 @@
 #include "vm/TraceVM.h"
 
 #include "TestPrograms.h"
+#include "backend/JitBackend.h"
 #include "interp/InstructionInterpreter.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 using namespace jtc;
 
@@ -290,4 +295,149 @@ TEST(TraceVmTest, SeedIgnoredWhenComponentsDisabled) {
   EXPECT_EQ(R2.Status, RunStatus::Finished);
   EXPECT_EQ(NoTraces.stats().TracesSeeded, 0u);
   EXPECT_GT(NoTraces.stats().GraphNodes, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Trace-run accounting and observers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Records a session's block stream: the entry block, then the target of
+/// every transition.
+class RecordingSink : public BlockTransitionSink {
+public:
+  void onRunStart(BlockId Entry) override { Blocks.push_back(Entry); }
+  void onTransition(BlockId From, BlockId To) override {
+    if (From != Blocks.back())
+      ++Discontinuities;
+    Blocks.push_back(To);
+    ++Transitions;
+  }
+  void onRunEnd(const RunResult &, const VmStats &) override {}
+
+  std::vector<BlockId> Blocks;
+  uint64_t Transitions = 0;
+  uint64_t Discontinuities = 0;
+};
+
+void expectSameSeed(const VmSeed &A, const VmSeed &B, const std::string &Ctx) {
+  ASSERT_EQ(A.Nodes.size(), B.Nodes.size()) << Ctx;
+  for (size_t I = 0; I < A.Nodes.size(); ++I) {
+    const BcgNodeSnapshot &X = A.Nodes[I];
+    const BcgNodeSnapshot &Y = B.Nodes[I];
+    EXPECT_TRUE(X.From == Y.From && X.To == Y.To &&
+                X.StartDelayLeft == Y.StartDelayLeft &&
+                X.SinceDecay == Y.SinceDecay && X.Execs == Y.Execs &&
+                X.Corrs == Y.Corrs)
+        << Ctx << ": BCG node " << I << " differs";
+  }
+  ASSERT_EQ(A.Traces.size(), B.Traces.size()) << Ctx;
+  for (size_t I = 0; I < A.Traces.size(); ++I) {
+    const TraceCache::TraceSeed &X = A.Traces[I];
+    const TraceCache::TraceSeed &Y = B.Traces[I];
+    EXPECT_TRUE(X.EntryFrom == Y.EntryFrom && X.Blocks == Y.Blocks &&
+                X.ExpectedCompletion == Y.ExpectedCompletion &&
+                X.Entered == Y.Entered && X.Completed == Y.Completed)
+        << Ctx << ": live trace " << I << " differs";
+  }
+}
+
+} // namespace
+
+TEST(TraceVmTest, ObservedSessionMatchesUnobserved) {
+  // TraceVM accounts each trace run's matched prefix in one step and
+  // hands an attached sink the prefix transitions afterwards. Attaching a
+  // sink must change nothing, the sink must see every transition, and
+  // driving a fresh engine block by block over the recorded stream (what
+  // btrace replay does) must land on the same statistics.
+  std::vector<backend::BackendKind> Tiers = {backend::BackendKind::Interp};
+  if (backend::jitSupportedHost())
+    Tiers.push_back(backend::BackendKind::Jit);
+  for (const WorkloadInfo &W : allWorkloads()) {
+    Module M = W.Build(W.DefaultScale / 4);
+    PreparedModule PM(M);
+    for (backend::BackendKind Tier : Tiers) {
+      std::string Ctx = std::string(W.Name) + "/" +
+                        (Tier == backend::BackendKind::Jit ? "jit" : "interp");
+      VmOptions Options = VmOptions().backend(Tier);
+
+      TraceVM Plain(PM, Options);
+      RunResult PlainRun = Plain.run();
+      RecordingSink Rec;
+      TraceVM Observed(PM, Options);
+      Observed.setTransitionSink(&Rec);
+      RunResult ObservedRun = Observed.run();
+
+      const VmStats &S = Observed.stats();
+      ASSERT_GT(S.TraceDispatches, 0u) << Ctx << ": no trace ever ran";
+      EXPECT_EQ(PlainRun.Status, ObservedRun.Status) << Ctx;
+      for (const VmStats::FieldInfo &F : VmStats::fields()) {
+        if (F.Counter) {
+          EXPECT_EQ(Plain.stats().*(F.Counter), S.*(F.Counter))
+              << Ctx << ": observing changed counter " << F.Key;
+        }
+      }
+      expectSameSeed(Plain.exportSeed(), Observed.exportSeed(), Ctx);
+
+      EXPECT_EQ(Rec.Transitions, S.BlocksExecuted - 1)
+          << Ctx << ": the sink must see one transition per block but the "
+                    "last";
+      EXPECT_EQ(Rec.Discontinuities, 0u) << Ctx;
+
+      analysis::SessionAnalysis Facts(M);
+      AdaptiveEngine Ref(PM, Observed.options(), Facts);
+      Ref.begin(Rec.Blocks[0]);
+      Ref.executed(Rec.Blocks[0]);
+      for (size_t I = 1; I < Rec.Blocks.size(); ++I) {
+        Ref.transition(Rec.Blocks[I - 1], Rec.Blocks[I]);
+        Ref.executed(Rec.Blocks[I]);
+      }
+      Ref.endRun();
+      VmStats RefStats = Ref.snapshotStats(S.Instructions);
+      EXPECT_EQ(RefStats.BlocksExecuted, S.BlocksExecuted) << Ctx;
+      EXPECT_EQ(RefStats.BlocksInTraces, S.BlocksInTraces) << Ctx;
+      EXPECT_EQ(RefStats.InstructionsInTraces, S.InstructionsInTraces) << Ctx;
+      EXPECT_EQ(RefStats.digest(), S.digest()) << Ctx;
+      expectSameSeed(Ref.exportSeed(), Observed.exportSeed(), Ctx);
+    }
+  }
+}
+
+TEST(TraceVmTest, OneModuleAnalysisPerSession) {
+  const WorkloadInfo *W = findWorkload("javac");
+  ASSERT_NE(W, nullptr);
+  Module M = W->Build(W->DefaultScale / 4);
+  PreparedModule PM(M);
+
+  // Validation, elision annotation and (on hosts with a JIT) lowering all
+  // consume the analysis; the session computes it once and every
+  // consumer borrows that one.
+  bool Jit = backend::jitSupportedHost();
+  TraceVM VM(PM, VmOptions()
+                     .backend(Jit ? backend::BackendKind::Jit
+                                  : backend::BackendKind::Interp)
+                     .validate(ValidateMode::On)
+                     .memElide(true));
+  VM.run();
+  ASSERT_GT(VM.stats().TracesValidated, 0u);
+  EXPECT_EQ(VM.moduleAnalysis().computeCount(), 1u);
+  if (Jit) {
+    ASSERT_GT(VM.stats().TracesJitCompiled, 0u);
+    const auto &J =
+        dynamic_cast<const backend::JitBackend &>(VM.traceBackend());
+    EXPECT_EQ(&J.moduleAnalysis(), &VM.moduleAnalysis());
+  }
+
+  // Nothing consumes it: no validation, no annotation, no promotion.
+  TraceVM Idle(PM, VmOptions()
+                       .backend(Jit ? backend::BackendKind::Jit
+                                    : backend::BackendKind::Interp)
+                       .validate(ValidateMode::Off)
+                       .memElide(false)
+                       .jitPromoteAfter(~0u));
+  Idle.run();
+  ASSERT_GT(Idle.stats().TracesConstructed, 0u);
+  EXPECT_EQ(Idle.stats().TracesJitCompiled, 0u);
+  EXPECT_EQ(Idle.moduleAnalysis().computeCount(), 0u);
 }

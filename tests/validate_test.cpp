@@ -27,6 +27,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -560,9 +561,10 @@ namespace {
 
 /// Runs \p M hot under stock options and hands back its VM (traces
 /// built, validation hook exercised).
-TraceVM runHot(const PreparedModule &PM, VmOptions Options = VmOptions()) {
-  TraceVM VM(PM, Options);
-  VM.run();
+std::unique_ptr<TraceVM> runHot(const PreparedModule &PM,
+                                VmOptions Options = VmOptions()) {
+  auto VM = std::make_unique<TraceVM>(PM, Options);
+  VM->run();
   return VM;
 }
 
@@ -757,7 +759,8 @@ TEST(ValidatorTraceTest, EveryMutationClassIsCaughtOnRealTraces) {
     for (const Module &M : Programs) {
       PreparedModule PM(M);
       analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(M);
-      TraceVM VM = runHot(PM);
+      std::unique_ptr<TraceVM> VMOwner = runHot(PM);
+      const TraceVM &VM = *VMOwner;
       for (Reason R : reasonsUnder(PM, VM, mutated(P), &Facts)) {
         EXPECT_TRUE(Expected(P, R))
             << unsoundPassName(P) << " surfaced as " << reasonName(R);
@@ -774,7 +777,8 @@ TEST(ValidatorTraceTest, StockOptimizerValidatesCleanOnAllWorkloads) {
     Module M = W.Build(std::max(1u, W.DefaultScale / 100));
     PreparedModule PM(M);
     analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(M);
-    TraceVM VM = runHot(PM);
+    std::unique_ptr<TraceVM> VMOwner = runHot(PM);
+    const TraceVM &VM = *VMOwner;
     unsigned Checked = 0;
     for (const Trace &T : VM.traceCache().traces()) {
       if (!T.Alive)
@@ -796,7 +800,8 @@ TEST(ValidatorTraceTest, StockOptimizerValidatesCleanOnAllWorkloads) {
 TEST(ValidatorHookTest, StockRunValidatesAndAcceptsEveryTrace) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM); // validation defaults to On
+  std::unique_ptr<TraceVM> VMOwner = runHot(PM); // validation defaults to On
+  const TraceVM &VM = *VMOwner;
   const TraceCache::CacheStats &CS = VM.traceCache().stats();
   EXPECT_GT(CS.TracesValidated, 0u);
   EXPECT_EQ(CS.ValidationRejects, 0u);
@@ -811,7 +816,9 @@ TEST(ValidatorHookTest, StockRunValidatesAndAcceptsEveryTrace) {
 TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM, VmOptions().validate(ValidateMode::Off));
+  std::unique_ptr<TraceVM> VMOwner =
+      runHot(PM, VmOptions().validate(ValidateMode::Off));
+  const TraceVM &VM = *VMOwner;
   EXPECT_EQ(VM.traceCache().stats().TracesValidated, 0u);
   for (const Trace &T : VM.traceCache().traces())
     EXPECT_EQ(T.Validation, TraceValidation::Unchecked);
@@ -820,9 +827,11 @@ TEST(ValidatorHookTest, ValidateOffLeavesTracesUnchecked) {
 TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
   Module M = testprog::hotLoop(100000);
   PreparedModule PM(M);
-  TraceVM Stock = runHot(PM);
-  TraceVM Mutant =
+  std::unique_ptr<TraceVM> StockOwner = runHot(PM);
+  const TraceVM &Stock = *StockOwner;
+  std::unique_ptr<TraceVM> MutantOwner =
       runHot(PM, VmOptions().optConfig(mutated(UnsoundPass::DropGuard)));
+  const TraceVM &Mutant = *MutantOwner;
 
   const TraceCache::CacheStats &CS = Mutant.traceCache().stats();
   EXPECT_GT(CS.ValidationRejects, 0u);
@@ -854,10 +863,12 @@ TEST(ValidatorHookTest, VerdictsAreMirroredAsTelemetryEvents) {
   // would be the first overwritten.
   Module M = testprog::hotLoop(20000);
   PreparedModule PM(M);
-  TraceVM VM = runHot(PM, VmOptions()
-                              .telemetry(true)
-                              .telemetryCapacity(1u << 18)
-                              .optConfig(mutated(UnsoundPass::DropGuard)));
+  std::unique_ptr<TraceVM> VMOwner =
+      runHot(PM, VmOptions()
+                     .telemetry(true)
+                     .telemetryCapacity(1u << 18)
+                     .optConfig(mutated(UnsoundPass::DropGuard)));
+  const TraceVM &VM = *VMOwner;
   ASSERT_EQ(VM.events().dropped(), 0u)
       << "ring wrapped; the counts below would be meaningless";
   const TraceCache::CacheStats &CS = VM.traceCache().stats();
@@ -962,7 +973,8 @@ TEST(ValidatorCorpusTest, EveryPinnedPairReplaysToItsReasonCode) {
 
     PreparedModule PM(*M);
     analysis::ModuleAnalysis Facts = analysis::ModuleAnalysis::compute(*M);
-    TraceVM VM = runHot(PM);
+    std::unique_ptr<TraceVM> VMOwner = runHot(PM);
+    const TraceVM &VM = *VMOwner;
     ASSERT_GT(VM.traceCache().stats().TracesValidated, 0u)
         << Path << ": fixture builds no traces";
     EXPECT_EQ(VM.traceCache().stats().ValidationRejects, 0u)
