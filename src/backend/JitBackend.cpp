@@ -2,8 +2,6 @@
 
 #include "backend/JitBackend.h"
 
-#include "analysis/Analysis.h"
-#include "analysis/SessionAnalysis.h"
 #include "backend/InterpreterBackend.h"
 #include "backend/TraceIR.h"
 #include "backend/X64Emitter.h"
@@ -925,9 +923,8 @@ bool TraceCompiler::emit() {
 // JitBackend
 //===----------------------------------------------------------------------===//
 
-JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config,
-                       analysis::SessionAnalysis &Facts)
-    : PM(PM), Config(Config), Facts(Facts) {}
+JitBackend::JitBackend(const PreparedModule &PM, const BackendConfig &Config)
+    : PM(PM), Config(Config) {}
 
 JitBackend::~JitBackend() = default;
 
@@ -935,7 +932,9 @@ CompileFallback JitBackend::tryCompile(const Trace &T, CompiledTrace &Out) {
   if (Config.SimulateUnsupportedHost || !jitSupportedHost())
     return CompileFallback::HostUnsupported;
 
-  LowerResult L = lowerTrace(PM, T, &Facts.get());
+  // No module facts: they would only annotate guards with exit liveness,
+  // which no template reads.
+  LowerResult L = lowerTrace(PM, T, nullptr);
   if (!L.ok())
     return L.Why;
 

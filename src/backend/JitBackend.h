@@ -131,17 +131,12 @@ private:
 
 class JitBackend : public TraceBackend {
 public:
-  /// \p Facts is the session's module analysis, borrowed for side-exit
-  /// liveness; it must outlive the backend.
-  JitBackend(const PreparedModule &PM, const BackendConfig &Config,
-             analysis::SessionAnalysis &Facts);
+  JitBackend(const PreparedModule &PM, const BackendConfig &Config);
   ~JitBackend() override;
 
   const char *name() const override { return "jit"; }
   TraceRunResult run(const Trace &T, TraceRunContext &Ctx) override;
   void setTelemetry(EventRing *R) override { Telem = R; }
-
-  const analysis::SessionAnalysis &moduleAnalysis() const { return Facts; }
 
 private:
   /// The cached promotion outcome for \p T, compiling on first sight of a
@@ -152,7 +147,6 @@ private:
   const PreparedModule &PM;
   BackendConfig Config;
   EventRing *Telem = nullptr;
-  analysis::SessionAnalysis &Facts;
   /// Indexed by TraceId. Trace ids are never reused (the trace cache's
   /// table only grows and a trace's blocks never change), so an entry
   /// stays valid for the session.

@@ -48,14 +48,13 @@ bool jitSupportedHost() {
 
 std::unique_ptr<TraceBackend> makeBackend(BackendKind Kind,
                                           const PreparedModule &PM,
-                                          const BackendConfig &Config,
-                                          analysis::SessionAnalysis &Facts) {
+                                          const BackendConfig &Config) {
   if (Kind == BackendKind::Auto)
     Kind = jitSupportedHost() && !Config.SimulateUnsupportedHost
                ? BackendKind::Jit
                : BackendKind::Interp;
   if (Kind == BackendKind::Jit)
-    return std::make_unique<JitBackend>(PM, Config, Facts);
+    return std::make_unique<JitBackend>(PM, Config);
   return std::make_unique<InterpreterBackend>();
 }
 

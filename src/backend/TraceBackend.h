@@ -44,10 +44,6 @@ class Machine;
 class BlockStepper;
 class EventRing;
 
-namespace analysis {
-class SessionAnalysis;
-} // namespace analysis
-
 namespace backend {
 
 /// Why a trace could not be promoted to native code. Codes are stable
@@ -170,13 +166,10 @@ bool jitSupportedHost();
 /// jitSupportedHost() (and not Config.SimulateUnsupportedHost), Interp
 /// otherwise. Jit on an unsupported host still constructs a JitBackend;
 /// every promotion attempt then records a HostUnsupported fallback and
-/// runs through its embedded interpreter tier. \p Facts is the session's
-/// module analysis (borrowed by JIT lowering); it must outlive the
-/// backend.
+/// runs through its embedded interpreter tier.
 std::unique_ptr<TraceBackend> makeBackend(BackendKind Kind,
                                           const PreparedModule &PM,
-                                          const BackendConfig &Config,
-                                          analysis::SessionAnalysis &Facts);
+                                          const BackendConfig &Config);
 
 } // namespace backend
 } // namespace jtc

@@ -2,7 +2,6 @@
 
 #include "btrace/BtraceReplay.h"
 
-#include "analysis/SessionAnalysis.h"
 #include "persist/Snapshot.h"
 #include "vm/AdaptiveEngine.h"
 
@@ -22,8 +21,7 @@ bool btrace::replayBtrace(const uint8_t *Data, size_t Size,
     return false;
 
   VmOptions Options = H.toOptions();
-  analysis::SessionAnalysis Facts(PM.module());
-  AdaptiveEngine Engine(PM, Options, Facts);
+  AdaptiveEngine Engine(PM, Options);
 
   ReplayResult R;
   if (H.hasSeed()) {

@@ -177,6 +177,8 @@ private:
     Put("checkpoints-saved", S.CheckpointsSaved);
     Put("checkpoints-loaded", S.CheckpointsLoaded);
     Put("checkpoint-load-rejects", S.CheckpointLoadRejects);
+    Put("proof-cache-hits", S.Aggregate.ProofCacheHits);
+    Put("proof-cache-misses", S.Aggregate.ProofCacheMisses);
     Put("queue-depth", Svc.queueDepth());
     Put(eventKindName(EventKind::ConnAccepted), N.ConnsAccepted);
     Put(eventKindName(EventKind::ConnClosed), N.ConnsClosed);

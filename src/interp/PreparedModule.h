@@ -15,6 +15,7 @@
 #define JTC_INTERP_PREPAREDMODULE_H
 
 #include "bytecode/Program.h"
+#include "interp/TraceProofMemo.h"
 #include "support/Ids.h"
 
 #include <cassert>
@@ -42,6 +43,11 @@ struct BasicBlock {
 
 /// A verified Module plus its discovered basic blocks and the leader maps
 /// needed to turn (method, pc) control transfers into block transitions.
+///
+/// Sessions share a PreparedModule through const references, concurrently
+/// in the serving layer. It is logically const: the one thing sessions
+/// add to it is the proof memo, which is thread-safe, append-only and
+/// never changes what a session computes (see TraceProofMemo).
 class PreparedModule {
 public:
   /// Prepares \p M. The module must outlive the PreparedModule and should
@@ -88,6 +94,9 @@ public:
   /// instructions to traces.
   uint32_t blockSize(BlockId B) const { return block(B).numInstructions(); }
 
+  /// Trace proofs shared by every session over this module.
+  TraceProofMemo &proofs() const { return Proofs; }
+
   /// Dumps the block structure, one line per block.
   void dump(std::ostream &OS) const;
 
@@ -98,6 +107,7 @@ private:
   std::vector<std::vector<BlockId>> LeaderToBlock;
   std::vector<BlockId> EntryBlocks;
   std::vector<const Instruction *> MethodCode;
+  mutable TraceProofMemo Proofs;
 };
 
 } // namespace jtc

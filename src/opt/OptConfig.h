@@ -95,12 +95,26 @@ struct OptConfig {
   /// Test-only deliberate miscompilation (see UnsoundPass).
   UnsoundPass Mutate = UnsoundPass::None;
 
+  /// Every field packed into one word: equal keys, equal configurations.
+  /// Proof memos key translation-validation verdicts by it, since a
+  /// verdict holds only for the configuration it was proved under.
+  uint64_t key() const {
+    return uint64_t(FoldConstants) | uint64_t(ForwardLoads) << 1 |
+           uint64_t(DeferStores) << 2 | uint64_t(EliminateGuards) << 3 |
+           uint64_t(LivenessAtExits) << 4 | uint64_t(ElimRedundantLoads) << 5 |
+           uint64_t(ElimDeadStores) << 6 | uint64_t(SinkStores) << 7 |
+           uint64_t(Mutate) << 8;
+  }
+
   bool stock() const {
     return FoldConstants && ForwardLoads && DeferStores && EliminateGuards &&
            LivenessAtExits && ElimRedundantLoads && ElimDeadStores &&
            SinkStores && Mutate == UnsoundPass::None;
   }
 };
+
+// A new field must be folded into OptConfig::key().
+static_assert(sizeof(OptConfig) == 9, "OptConfig changed: update key()");
 
 } // namespace jtc
 

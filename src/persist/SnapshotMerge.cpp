@@ -10,21 +10,6 @@
 using namespace jtc;
 using namespace jtc::persist;
 
-uint64_t persist::traceFingerprint(const TraceCache::TraceSeed &T) {
-  uint64_t H = 1469598103934665603ull; // FNV-1a.
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xff;
-      H *= 1099511628211ull;
-    }
-  };
-  Mix(T.EntryFrom);
-  Mix(T.Blocks.size());
-  for (BlockId B : T.Blocks)
-    Mix(B);
-  return H;
-}
-
 bool persist::passesCompletionFilter(const TraceCache::TraceSeed &T,
                                      const TraceConfig &TC) {
   double Observed = T.Entered == 0
@@ -104,7 +89,8 @@ bool persist::mergeSnapshots(const std::vector<SnapshotData> &Inputs,
   std::map<uint64_t, TraceCache::TraceSeed> Traces;
   for (const SnapshotData &S : Inputs) {
     for (const TraceCache::TraceSeed &T : S.Seed.Traces) {
-      auto [It, Fresh] = Traces.try_emplace(traceFingerprint(T), T);
+      auto [It, Fresh] =
+          Traces.try_emplace(traceFingerprint(T.EntryFrom, T.Blocks), T);
       if (Fresh)
         continue;
       TraceCache::TraceSeed &M = It->second;

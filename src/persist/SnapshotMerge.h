@@ -50,11 +50,6 @@
 namespace jtc {
 namespace persist {
 
-/// Structure-only fingerprint of one portable trace: entry pair plus the
-/// exact block sequence (not its execution history). Two seeds with equal
-/// fingerprints are the same trace observed by different sessions.
-uint64_t traceFingerprint(const TraceCache::TraceSeed &T);
-
 /// The load-time donor-completion filter (shared by loadProfile and the
 /// merge pipeline): true when \p T 's donor history does NOT already
 /// prove it a retirement candidate under \p TC.

@@ -10,6 +10,7 @@
 #include <cassert>
 #include <chrono>
 #include <filesystem>
+#include <utility>
 
 using namespace jtc;
 
@@ -49,16 +50,18 @@ VmService::~VmService() { shutdown(); }
 
 void VmService::registerModule(const std::string &Name, Module M,
                                std::string Spec, uint32_t Scale) {
-  auto Entry = std::make_unique<ModuleEntry>(
+  auto Entry = std::make_shared<ModuleEntry>(
       std::move(M), Spec.empty() ? Name : std::move(Spec), Scale);
   // Durable warm start: adopt a previous process's checkpoint before the
   // entry becomes visible to any worker.
   maybeLoadCheckpoint(*Entry, Name);
-  std::lock_guard<std::mutex> Lock(RegistryMutex);
-  std::unique_ptr<ModuleEntry> &Slot = Modules[Name];
-  if (Slot) // Keep the replaced entry alive for sessions already using it.
-    Retired.push_back(std::move(Slot));
-  Slot = std::move(Entry);
+  std::shared_ptr<ModuleEntry> Replaced;
+  {
+    std::lock_guard<std::mutex> Lock(RegistryMutex);
+    Replaced = std::exchange(Modules[Name], std::move(Entry));
+  }
+  // Sessions still running over a replaced entry hold their own
+  // references; otherwise it is freed here, outside the lock.
 }
 
 void VmService::registerWorkload(const WorkloadInfo &W, uint32_t Scale) {
@@ -257,12 +260,12 @@ SessionResult VmService::runOne(const RunRequest &R, unsigned WorkerId) {
   Out.Module = R.Module;
   Out.Worker = WorkerId;
 
-  ModuleEntry *Entry = nullptr;
+  std::shared_ptr<ModuleEntry> Entry;
   {
     std::lock_guard<std::mutex> Lock(RegistryMutex);
     auto It = Modules.find(R.Module);
     if (It != Modules.end())
-      Entry = It->second.get();
+      Entry = It->second;
   }
   if (!Entry) {
     Out.Rejected = true;
@@ -275,8 +278,9 @@ SessionResult VmService::runOne(const RunRequest &R, unsigned WorkerId) {
   if (R.MaxInstructions)
     VO.maxInstructions(R.MaxInstructions);
 
-  // The session itself: thread-private VM over the shared immutable
-  // PreparedModule. No locks are held while it runs.
+  // The session itself: thread-private VM over the shared PreparedModule.
+  // No locks are held while it runs (the proof memo locks internally, at
+  // trace construction only).
   TraceVM VM(Entry->PM, VO);
 
   if (Options.warmHandoff()) {
@@ -382,6 +386,15 @@ SessionResult VmService::runOne(const RunRequest &R, unsigned WorkerId) {
 ServiceStats VmService::stats() const {
   std::lock_guard<std::mutex> Lock(StatsMutex);
   return Stats;
+}
+
+std::shared_ptr<const PreparedModule>
+VmService::preparedModule(const std::string &Name) const {
+  std::lock_guard<std::mutex> Lock(RegistryMutex);
+  auto It = Modules.find(Name);
+  if (It == Modules.end())
+    return nullptr;
+  return std::shared_ptr<const PreparedModule>(It->second, &It->second->PM);
 }
 
 ProfileSnapshot VmService::snapshotFor(const std::string &Name) const {

@@ -3,12 +3,13 @@
 /// \file
 /// The serving layer over the paper's per-session machinery: a pool of N
 /// worker threads draining a queue of run requests against shared,
-/// immutable PreparedModules. Each request gets its own TraceVM session,
-/// so profiler and trace-cache state is thread-private and completely
-/// unsynchronized on the hot dispatch path -- the only cross-thread
-/// traffic is the request queue, the per-module snapshot slot, and the
-/// service-level statistics fold, all of which sit outside block
-/// dispatch.
+/// logically const PreparedModules. Each request gets its own TraceVM
+/// session, so profiler and trace-cache state is thread-private and
+/// completely unsynchronized on the hot dispatch path -- the only
+/// cross-thread traffic is the request queue, the per-module snapshot
+/// slot and proof memo, and the service-level statistics fold, all of
+/// which sit outside block dispatch. The proof memo is what lets a trace
+/// be proved once per module rather than once per session.
 ///
 /// Warm handoff amortizes the profile warmup the paper pays once per run:
 /// the first mature session over a module publishes a ProfileSnapshot
@@ -204,8 +205,9 @@ public:
 
   /// Registers \p M under \p Name: verified callers only (preparation
   /// asserts on structural errors). The module is prepared once and
-  /// shared, immutable, by every session over it. Re-registering a name
-  /// replaces the module and drops any published snapshot. \p Spec and
+  /// shared by every session over it. Re-registering a name replaces the
+  /// module and drops any published snapshot; the old module is freed
+  /// when its last running session ends. \p Spec and
   /// \p Scale are provenance recorded in .btc captures (a spec jtc-replay
   /// can resolve, e.g. "workload:compress"; empty = \p Name).
   void registerModule(const std::string &Name, Module M,
@@ -261,10 +263,18 @@ public:
   /// The published snapshot for \p Name (empty snapshot when none yet).
   ProfileSnapshot snapshotFor(const std::string &Name) const;
 
+  /// The prepared module currently registered as \p Name (null when
+  /// none), with its proof memo. The pointer shares ownership of the
+  /// registration: a replaced module lives until its last holder -- a
+  /// session or a caller of this -- lets go.
+  std::shared_ptr<const PreparedModule>
+  preparedModule(const std::string &Name) const;
+
 private:
-  /// One registered module. The entry's address is stable for the
-  /// service's lifetime (the registry stores unique_ptrs), so workers
-  /// hold plain pointers while the registry mutex is released.
+  /// One registered module. A session pins its entry with a shared_ptr
+  /// taken under the registry mutex, so re-registration can drop the
+  /// registry's reference at once: the replaced entry (module, prepared
+  /// form, proof memo, snapshot) is freed when its last session ends.
   struct ModuleEntry {
     ModuleEntry(Module Mod, std::string Spec, uint32_t Scale)
         : M(std::move(Mod)), PM(M), Spec(std::move(Spec)), Scale(Scale) {}
@@ -299,11 +309,8 @@ private:
 
   ServiceOptions Options;
 
-  mutable std::mutex RegistryMutex; ///< Guards Modules and Retired.
-  std::map<std::string, std::unique_ptr<ModuleEntry>> Modules;
-  /// Entries replaced by re-registration, kept alive because in-flight
-  /// sessions may still reference them.
-  std::vector<std::unique_ptr<ModuleEntry>> Retired;
+  mutable std::mutex RegistryMutex; ///< Guards Modules.
+  std::map<std::string, std::shared_ptr<ModuleEntry>> Modules;
 
   mutable std::mutex SnapMutex; ///< Guards every ModuleEntry::Snap.
 

@@ -16,6 +16,7 @@
 
 #include "support/Ids.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,6 +53,26 @@ struct MemElision {
   uint32_t Pc = 0;         ///< Instruction pc within that block's method.
   uint8_t Kind = NullOnly;
 };
+
+/// Structure-only fingerprint of a trace: its entry predecessor plus the
+/// exact block sequence (FNV-1a). Equal traces hash equal; a hit still
+/// needs an exact comparison. Snapshot merging dedups traces on it, and
+/// PreparedModule's proof memo keys its entries by it.
+inline uint64_t traceFingerprint(BlockId EntryFrom,
+                                 const std::vector<BlockId> &Blocks) {
+  uint64_t H = 1469598103934665603ull;
+  auto Mix = [&H](uint64_t V) {
+    for (int I = 0; I < 8; ++I) {
+      H ^= (V >> (I * 8)) & 0xff;
+      H *= 1099511628211ull;
+    }
+  };
+  Mix(EntryFrom);
+  Mix(Blocks.size());
+  for (BlockId B : Blocks)
+    Mix(B);
+  return H;
+}
 
 struct Trace {
   TraceId Id = InvalidTraceId;

@@ -3,7 +3,6 @@
 #include "vm/AdaptiveEngine.h"
 
 #include "analysis/Analysis.h"
-#include "analysis/SessionAnalysis.h"
 #include "validate/Validator.h"
 
 #include <cassert>
@@ -19,12 +18,10 @@ static_assert(!std::is_copy_constructible_v<AdaptiveEngine> &&
               "the cache hooks capture the engine's address");
 
 AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
-                               const VmOptions &Options,
-                               analysis::SessionAnalysis &Facts)
+                               const VmOptions &Options)
     : PM(&PM), Options(&Options), Graph(Options.profilerConfig()),
       Cache(Graph, Options.traceConfig(),
-            [P = &PM](BlockId B) { return P->blockSize(B); }),
-      Facts(Facts) {
+            [P = &PM](BlockId B) { return P->blockSize(B); }) {
   // Trace construction is driven by profiler signals, so trace dispatch
   // requires profiling.
   if (Options.profiling() && Options.traces()) {
@@ -37,9 +34,35 @@ AdaptiveEngine::AdaptiveEngine(const PreparedModule &PM,
   }
 }
 
+AdaptiveEngine::~AdaptiveEngine() = default;
+
+const analysis::ModuleAnalysis &AdaptiveEngine::facts() {
+  if (!Facts)
+    Facts = std::make_unique<analysis::ModuleAnalysis>(
+        analysis::ModuleAnalysis::onDemand(PM->module()));
+  return *Facts;
+}
+
 TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) {
-  validate::Result R =
-      validate::validateTrace(*PM, T, Options->optConfig(), &Facts.get());
+  // A remembered verdict is the one validateTrace would prove again: it
+  // depends only on the module, the block sequence and the configuration.
+  TraceProofMemo &Memo = PM->proofs();
+  const uint64_t Key = Options->optConfig().key();
+  validate::Result R;
+  if (const ValidationProof *P =
+          Memo.findValidation(T.EntryFrom, T.Blocks, Key)) {
+    ++Stats.ProofCacheHits;
+    R.Ok = P->Accepted;
+    R.Why = static_cast<validate::Reason>(P->ReasonCode);
+    R.SegmentIndex = P->SegmentIndex;
+    R.Detail = P->Detail;
+  } else {
+    ++Stats.ProofCacheMisses;
+    R = validate::validateTrace(*PM, T, Options->optConfig(), &facts());
+    Memo.addValidation(T.EntryFrom, T.Blocks, Key,
+                       {R.Ok, static_cast<uint32_t>(R.Why), R.SegmentIndex,
+                        R.Detail});
+  }
   if (!R.Ok && Options->validate() == ValidateMode::Strict) {
     std::fprintf(stderr,
                  "jtc: --validate=strict: trace %u rejected by translation "
@@ -51,27 +74,37 @@ TraceCache::ValidationVerdict AdaptiveEngine::validateCandidate(const Trace &T) 
 }
 
 void AdaptiveEngine::annotateCandidate(Trace &T) {
-  const analysis::ModuleAnalysis &A = Facts.get();
-  std::vector<analysis::TraceBlockSpan> Spans;
-  Spans.reserve(T.Blocks.size());
-  for (BlockId B : T.Blocks) {
-    const BasicBlock &BB = PM->block(B);
-    Spans.push_back({BB.MethodId, BB.StartPc, BB.EndPc});
+  TraceProofMemo &Memo = PM->proofs();
+  if (const std::vector<MemElision> *E =
+          Memo.findElisions(T.EntryFrom, T.Blocks)) {
+    ++Stats.ProofCacheHits;
+    T.MemElisions = *E;
+  } else {
+    ++Stats.ProofCacheMisses;
+    const analysis::ModuleAnalysis &A = facts();
+    std::vector<analysis::TraceBlockSpan> Spans;
+    Spans.reserve(T.Blocks.size());
+    for (BlockId B : T.Blocks) {
+      const BasicBlock &BB = PM->block(B);
+      Spans.push_back({BB.MethodId, BB.StartPc, BB.EndPc});
+    }
+    std::vector<analysis::TraceMemFact> MemFacts =
+        analysis::analyzeTraceMemory(
+            PM->module(),
+            [&A](uint32_t MethodId) -> const analysis::MethodValueFacts * {
+              const analysis::MethodAnalysis *MA = A.method(MethodId);
+              return MA ? &MA->Values : nullptr;
+            },
+            Spans);
+    T.MemElisions.clear();
+    T.MemElisions.reserve(MemFacts.size());
+    for (const analysis::TraceMemFact &F : MemFacts)
+      T.MemElisions.push_back({F.BlockIndex, F.Pc,
+                               F.Elide == analysis::MemElide::Full
+                                   ? MemElision::Full
+                                   : MemElision::NullOnly});
+    Memo.addElisions(T.EntryFrom, T.Blocks, T.MemElisions);
   }
-  std::vector<analysis::TraceMemFact> MemFacts = analysis::analyzeTraceMemory(
-      PM->module(),
-      [&A](uint32_t MethodId) -> const analysis::MethodValueFacts * {
-        const analysis::MethodAnalysis *MA = A.method(MethodId);
-        return MA ? &MA->Values : nullptr;
-      },
-      Spans);
-  T.MemElisions.clear();
-  T.MemElisions.reserve(MemFacts.size());
-  for (const analysis::TraceMemFact &F : MemFacts)
-    T.MemElisions.push_back({F.BlockIndex, F.Pc,
-                             F.Elide == analysis::MemElide::Full
-                                 ? MemElision::Full
-                                 : MemElision::NullOnly});
   Stats.MemElisionSites += T.MemElisions.size();
 }
 

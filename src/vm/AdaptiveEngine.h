@@ -32,12 +32,13 @@
 #include "vm/VmStats.h"
 
 #include <cassert>
+#include <memory>
 #include <vector>
 
 namespace jtc {
 
 namespace analysis {
-class SessionAnalysis;
+class ModuleAnalysis;
 } // namespace analysis
 
 /// Portable profiler + trace-cache state captured from a mature session
@@ -57,11 +58,9 @@ struct VmSeed {
 /// stream. See the file comment for the driver contract.
 class AdaptiveEngine {
 public:
-  /// \p PM, \p Options and \p Facts must outlive the engine. \p Facts is
-  /// the session's module analysis, shared with the other consumers of the
-  /// session (the JIT backend's lowering).
-  AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options,
-                 analysis::SessionAnalysis &Facts);
+  /// \p PM and \p Options must outlive the engine.
+  AdaptiveEngine(const PreparedModule &PM, const VmOptions &Options);
+  ~AdaptiveEngine();
 
   // The cache hooks and the graph's signal sink point back into the
   // engine, so it stays where it was built.
@@ -141,6 +140,10 @@ public:
   const BranchCorrelationGraph &graph() const { return Graph; }
   const TraceCache &traceCache() const { return Cache; }
 
+  /// The module facts this session computed (null: none). Facts are
+  /// computed per method, only for proofs the module's memo missed.
+  const analysis::ModuleAnalysis *moduleFacts() const { return Facts.get(); }
+
 private:
   /// transition() when no trace is active or \p Next leaves the active
   /// trace.
@@ -159,15 +162,22 @@ private:
 
   /// The TraceCache validation hook (--validate != off): re-runs the
   /// optimizer on \p T's linearized form and proves the result a sound
-  /// refinement of the source bytecode (validate::validateTrace). Under
-  /// --validate=strict a rejection aborts the process.
+  /// refinement of the source bytecode (validate::validateTrace), unless
+  /// the module's proof memo already holds the verdict. Under
+  /// --validate=strict a rejection, proved or remembered, aborts the
+  /// process.
   TraceCache::ValidationVerdict validateCandidate(const Trace &T);
 
-  /// The TraceCache annotation hook (memElide on): runs the alias
-  /// analysis over \p T's block sequence (analysis::analyzeTraceMemory)
-  /// and records the heap accesses whose dynamic checks are provably
-  /// redundant on the trace path, for both execution tiers to skip.
+  /// The TraceCache annotation hook (memElide on): records the heap
+  /// accesses whose dynamic checks are provably redundant on \p T's path,
+  /// for both execution tiers to skip -- from the module's proof memo, or
+  /// by running the alias analysis over the block sequence
+  /// (analysis::analyzeTraceMemory).
   void annotateCandidate(Trace &T);
+
+  /// The session's module facts, created on the first proof the memo
+  /// missed (never on the dispatch path).
+  const analysis::ModuleAnalysis &facts();
 
   const PreparedModule *PM;
   const VmOptions *Options;
@@ -175,9 +185,9 @@ private:
   TraceCache Cache;
   VmStats Stats;
   EventRing *Telem = nullptr;
-  /// Dataflow facts for validation and annotation, computed lazily on the
-  /// first trace constructed (never on the dispatch path).
-  analysis::SessionAnalysis &Facts;
+  /// Dataflow facts for validation and annotation, computed per method on
+  /// first use.
+  std::unique_ptr<analysis::ModuleAnalysis> Facts;
   /// Per trace id: the graph node of the trace's final block pair,
   /// resolved on its first completion. Nodes are never removed, so the id
   /// stays valid for the session and later completions skip the pair

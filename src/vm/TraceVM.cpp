@@ -14,9 +14,9 @@ static_assert(!std::is_copy_constructible_v<TraceVM> &&
 
 TraceVM::TraceVM(const PreparedModule &PM, VmOptions Options)
     : PM(&PM), Options(Options), Mach(PM.module()), Stepper(PM, Mach),
-      Facts(PM.module()), Engine(PM, this->Options, Facts),
+      Engine(PM, this->Options),
       Backend(backend::makeBackend(this->Options.backend(), PM,
-                                   this->Options.backendConfig(), Facts)) {
+                                   this->Options.backendConfig())) {
 #ifdef JTC_TELEMETRY
   if (this->Options.telemetry()) {
     Ring = EventRing(this->Options.telemetryCapacity(),

@@ -32,7 +32,6 @@
 #ifndef JTC_VM_TRACEVM_H
 #define JTC_VM_TRACEVM_H
 
-#include "analysis/SessionAnalysis.h"
 #include "backend/TraceBackend.h"
 #include "interp/BlockStepper.h"
 #include "telemetry/EventRing.h"
@@ -111,9 +110,11 @@ public:
   const PreparedModule &prepared() const { return *PM; }
   const BranchCorrelationGraph &graph() const { return Engine.graph(); }
   const TraceCache &traceCache() const { return Engine.traceCache(); }
-  /// The session's module analysis, shared by validation, elision
-  /// annotation and JIT lowering.
-  const analysis::SessionAnalysis &moduleAnalysis() const { return Facts; }
+  /// The module facts this session computed for its proofs, or null when
+  /// the module's proof memo answered them all (AdaptiveEngine).
+  const analysis::ModuleAnalysis *moduleFacts() const {
+    return Engine.moduleFacts();
+  }
   Machine &machine() { return Mach; }
   const Machine &machine() const { return Mach; }
 
@@ -142,7 +143,6 @@ private:
   VmOptions Options;
   Machine Mach;
   BlockStepper Stepper;
-  analysis::SessionAnalysis Facts;
   AdaptiveEngine Engine;
   std::unique_ptr<backend::TraceBackend> Backend;
 

@@ -78,6 +78,10 @@ const std::vector<VmStats::FieldInfo> &VmStats::fields() {
               &VmStats::MemElisionSites, /*InPrint=*/false),
       Counter("mem checks elided", "mem_checks_elided",
               &VmStats::MemChecksElided, /*InPrint=*/false),
+      Counter("proof cache hits", "proof_cache_hits", &VmStats::ProofCacheHits,
+              /*InPrint=*/false),
+      Counter("proof cache misses", "proof_cache_misses",
+              &VmStats::ProofCacheMisses, /*InPrint=*/false),
       Counter("live traces", "live_traces", &VmStats::LiveTraces),
       Counter("branch graph nodes", "graph_nodes", &VmStats::GraphNodes),
       Counter("telemetry events dropped", "events_dropped",
@@ -121,7 +125,10 @@ uint64_t VmStats::digest() const {
            // Elision accounting is configuration (--mem-elide) like the
            // tier counters; the elided checks were proved to pass, so the
            // execution semantics are identical either way.
-           M == &VmStats::MemElisionSites || M == &VmStats::MemChecksElided;
+           M == &VmStats::MemElisionSites || M == &VmStats::MemChecksElided ||
+           // Whether a proof was remembered or computed depends on earlier
+           // sessions over the module, not on this one.
+           M == &VmStats::ProofCacheHits || M == &VmStats::ProofCacheMisses;
   };
   for (const FieldInfo &F : fields())
     if (F.Counter && !Excluded(F.Counter))

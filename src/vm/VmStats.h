@@ -79,6 +79,15 @@ struct VmStats {
   uint64_t MemElisionSites = 0;  ///< Annotated heap-access sites.
   uint64_t MemChecksElided = 0;  ///< Dynamic checks skipped at run time.
 
+  //===--- Proof memo (interp/TraceProofMemo.h) ------------------------===//
+  /// Trace proofs (validation verdicts and elision lists) this session
+  /// took from its PreparedModule's memo, and those it computed itself.
+  /// The split depends on what earlier sessions over the module proved
+  /// (and, when served, on their interleaving), never on this session's
+  /// execution, so both are digest-excluded.
+  uint64_t ProofCacheHits = 0;
+  uint64_t ProofCacheMisses = 0;
+
   //===--- Observability ----------------------------------------------===//
   /// Telemetry events lost to ring overwriting (EventRing::dropped). Not
   /// part of the execution semantics, so digest() excludes it: a replay

@@ -276,15 +276,14 @@ TEST(BackendTest, CompileFailureFallsBackToInterpreter) {
 TEST(BackendTest, AutoResolvesPerHostSupport) {
   Module M = testprog::hotLoop(100);
   PreparedModule PM(M);
-  analysis::SessionAnalysis Facts(M);
   backend::BackendConfig Unsupported;
   Unsupported.SimulateUnsupportedHost = true;
   std::unique_ptr<backend::TraceBackend> B = backend::makeBackend(
-      backend::BackendKind::Auto, PM, Unsupported, Facts);
+      backend::BackendKind::Auto, PM, Unsupported);
   EXPECT_STREQ("interp", B->name());
   if (hostHasJit()) {
     std::unique_ptr<backend::TraceBackend> J = backend::makeBackend(
-        backend::BackendKind::Auto, PM, backend::BackendConfig(), Facts);
+        backend::BackendKind::Auto, PM, backend::BackendConfig());
     EXPECT_STREQ("jit", J->name());
   }
 }

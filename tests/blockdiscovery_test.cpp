@@ -142,3 +142,61 @@ TEST(BlockDiscoveryTest, DumpListsAllBlocks) {
   for (BlockId B = 0; B < PM.numBlocks(); ++B)
     EXPECT_NE(Out.find("block " + std::to_string(B)), std::string::npos);
 }
+
+//===----------------------------------------------------------------------===//
+// The proof memo sessions share through the PreparedModule
+//===----------------------------------------------------------------------===//
+
+TEST(TraceProofMemoTest, KeysOnEntryBlocksAndConfig) {
+  TraceProofMemo Memo;
+  const std::vector<BlockId> Blocks = {3, 4, 5};
+  EXPECT_EQ(Memo.findValidation(2, Blocks, 7), nullptr);
+  Memo.addValidation(2, Blocks, 7, {false, 4, 1, "detail"});
+  const ValidationProof *P = Memo.findValidation(2, Blocks, 7);
+  ASSERT_NE(P, nullptr);
+  EXPECT_FALSE(P->Accepted);
+  EXPECT_EQ(P->ReasonCode, 4u);
+  EXPECT_EQ(P->SegmentIndex, 1u);
+  EXPECT_EQ(P->Detail, "detail");
+  // Another configuration, entry or block sequence is another proof.
+  EXPECT_EQ(Memo.findValidation(2, Blocks, 8), nullptr);
+  EXPECT_EQ(Memo.findValidation(1, Blocks, 7), nullptr);
+  EXPECT_EQ(Memo.findValidation(2, {3, 4}, 7), nullptr);
+  // The first proof stored wins; the memo never changes an entry.
+  Memo.addValidation(2, Blocks, 7, {true, 0, 0, ""});
+  EXPECT_EQ(Memo.findValidation(2, Blocks, 7), P);
+  EXPECT_FALSE(P->Accepted);
+
+  EXPECT_EQ(Memo.findElisions(2, Blocks), nullptr);
+  Memo.addElisions(2, Blocks, {{1, 6, MemElision::Full}});
+  const std::vector<MemElision> *E = Memo.findElisions(2, Blocks);
+  ASSERT_NE(E, nullptr);
+  ASSERT_EQ(E->size(), 1u);
+  EXPECT_EQ((*E)[0].Pc, 6u);
+  EXPECT_EQ(Memo.size(), 2u);
+}
+
+TEST(TraceProofMemoTest, StopsAtItsEntryBudget) {
+  TraceProofMemo Memo(3);
+  EXPECT_EQ(Memo.budget(), 3u);
+  Memo.addValidation(0, {1, 2}, 0, {});
+  Memo.addElisions(0, {1, 2}, {});
+  Memo.addValidation(0, {2, 3}, 0, {});
+  EXPECT_EQ(Memo.size(), 3u);
+  // Full: both maps refuse new entries, and what is stored stays.
+  Memo.addValidation(0, {3, 4}, 0, {});
+  Memo.addElisions(0, {2, 3}, {});
+  EXPECT_EQ(Memo.size(), 3u);
+  EXPECT_EQ(Memo.findValidation(0, {3, 4}, 0), nullptr);
+  EXPECT_EQ(Memo.findElisions(0, {2, 3}), nullptr);
+  EXPECT_NE(Memo.findValidation(0, {1, 2}, 0), nullptr);
+  EXPECT_NE(Memo.findElisions(0, {1, 2}), nullptr);
+  EXPECT_NE(Memo.findValidation(0, {2, 3}, 0), nullptr);
+}
+
+TEST(TraceProofMemoTest, EveryPreparedModuleGetsTheFixedBudget) {
+  Module M = testprog::hotLoop(10);
+  PreparedModule PM(M);
+  EXPECT_EQ(PM.proofs().budget(), TraceProofMemo::ModuleBudget);
+  EXPECT_EQ(PM.proofs().size(), 0u);
+}

@@ -390,3 +390,38 @@ TEST(VmServiceTest, ReregisteringReplacesModuleAndDropsSnapshot) {
   EXPECT_FALSE(R.WarmStart);
   EXPECT_EQ(R.Run.Status, RunStatus::Finished);
 }
+
+TEST(VmServiceTest, ReplacedModulesAreFreedWhenTheirLastSessionEnds) {
+  // Re-registration drops the registry's reference at once; sessions
+  // still running over a replaced module keep it alive until they
+  // retire, and then it is freed with its proof memo and snapshot.
+  Module M = testprog::hotLoop(20000);
+  Reference Ref = referenceRun(M);
+  VmService Svc(ServiceOptions().workers(4));
+  constexpr int Generations = 8;
+  std::vector<std::weak_ptr<const PreparedModule>> Prepared;
+  std::vector<std::future<SessionResult>> Fs;
+  for (int G = 0; G < Generations; ++G) {
+    Svc.registerModule("m", testprog::hotLoop(20000));
+    Prepared.push_back(Svc.preparedModule("m"));
+    ASSERT_FALSE(Prepared.back().expired());
+    for (int I = 0; I < 4; ++I)
+      Fs.push_back(Svc.submit({"m"}));
+  }
+  for (std::future<SessionResult> &F : Fs) {
+    SessionResult R = F.get();
+    ASSERT_FALSE(R.Rejected);
+    EXPECT_EQ(R.Run.Status, Ref.Run.Status);
+    EXPECT_EQ(R.Run.Instructions, Ref.Run.Instructions);
+    EXPECT_EQ(R.Output, Ref.Output);
+    EXPECT_EQ(R.HeapDigest, Ref.HeapDigest);
+    if (!R.WarmStart) {
+      EXPECT_EQ(R.Stats.digest(), Ref.Stats.digest());
+    }
+  }
+  Svc.drain();
+  for (int G = 0; G + 1 < Generations; ++G)
+    EXPECT_TRUE(Prepared[G].expired()) << "generation " << G << " leaked";
+  EXPECT_FALSE(Prepared.back().expired());
+  EXPECT_EQ(Svc.run({"m"}).Run.Status, RunStatus::Finished);
+}

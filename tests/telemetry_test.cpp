@@ -547,7 +547,9 @@ TEST(TelemetryVmTest, DisabledByDefaultAndStatsUnchanged) {
   EXPECT_FALSE(Off.events().enabled());
   EXPECT_EQ(Off.events().size(), 0u);
 
-  TraceVM On(PM, telemetryOptions());
+  // A module of its own, so the proof memo counters compare too.
+  PreparedModule OnPM(M);
+  TraceVM On(OnPM, telemetryOptions());
   On.run();
   // Telemetry must observe, not perturb: every statistic matches.
   for (const VmStats::FieldInfo &F : VmStats::fields())

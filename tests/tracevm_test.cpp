@@ -3,12 +3,18 @@
 #include "vm/TraceVM.h"
 
 #include "TestPrograms.h"
+#include "analysis/Analysis.h"
 #include "backend/JitBackend.h"
+#include "bytecode/Verifier.h"
 #include "interp/InstructionInterpreter.h"
+#include "text/AsmParser.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -321,6 +327,21 @@ public:
   uint64_t Discontinuities = 0;
 };
 
+/// The proof-memo counters: the only ones that may differ between two
+/// sessions with identical behaviour, since they record what earlier
+/// sessions over the module proved.
+bool isProofMemoCounter(const VmStats::FieldInfo &F) {
+  return F.Counter == &VmStats::ProofCacheHits ||
+         F.Counter == &VmStats::ProofCacheMisses;
+}
+
+std::vector<backend::BackendKind> bothTiers() {
+  std::vector<backend::BackendKind> Tiers = {backend::BackendKind::Interp};
+  if (backend::jitSupportedHost())
+    Tiers.push_back(backend::BackendKind::Jit);
+  return Tiers;
+}
+
 void expectSameSeed(const VmSeed &A, const VmSeed &B, const std::string &Ctx) {
   ASSERT_EQ(A.Nodes.size(), B.Nodes.size()) << Ctx;
   for (size_t I = 0; I < A.Nodes.size(); ++I) {
@@ -351,21 +372,21 @@ TEST(TraceVmTest, ObservedSessionMatchesUnobserved) {
   // sink must change nothing, the sink must see every transition, and
   // driving a fresh engine block by block over the recorded stream (what
   // btrace replay does) must land on the same statistics.
-  std::vector<backend::BackendKind> Tiers = {backend::BackendKind::Interp};
-  if (backend::jitSupportedHost())
-    Tiers.push_back(backend::BackendKind::Jit);
   for (const WorkloadInfo &W : allWorkloads()) {
     Module M = W.Build(W.DefaultScale / 4);
-    PreparedModule PM(M);
-    for (backend::BackendKind Tier : Tiers) {
+    for (backend::BackendKind Tier : bothTiers()) {
       std::string Ctx = std::string(W.Name) + "/" +
                         (Tier == backend::BackendKind::Jit ? "jit" : "interp");
       VmOptions Options = VmOptions().backend(Tier);
 
+      // Each session over a module of its own, so the proof memo counters
+      // compare too.
+      PreparedModule PM(M);
       TraceVM Plain(PM, Options);
       RunResult PlainRun = Plain.run();
       RecordingSink Rec;
-      TraceVM Observed(PM, Options);
+      PreparedModule ObservedPM(M);
+      TraceVM Observed(ObservedPM, Options);
       Observed.setTransitionSink(&Rec);
       RunResult ObservedRun = Observed.run();
 
@@ -385,8 +406,7 @@ TEST(TraceVmTest, ObservedSessionMatchesUnobserved) {
                     "last";
       EXPECT_EQ(Rec.Discontinuities, 0u) << Ctx;
 
-      analysis::SessionAnalysis Facts(M);
-      AdaptiveEngine Ref(PM, Observed.options(), Facts);
+      AdaptiveEngine Ref(PM, Observed.options());
       Ref.begin(Rec.Blocks[0]);
       Ref.executed(Rec.Blocks[0]);
       for (size_t I = 1; I < Rec.Blocks.size(); ++I) {
@@ -404,40 +424,156 @@ TEST(TraceVmTest, ObservedSessionMatchesUnobserved) {
   }
 }
 
-TEST(TraceVmTest, OneModuleAnalysisPerSession) {
+namespace {
+
+/// Per-kind event counts of a finished session.
+std::array<uint64_t, NumEventKinds> eventCounts(const TraceVM &VM) {
+  std::array<uint64_t, NumEventKinds> N{};
+  VM.events().forEach(
+      [&N](const Event &E) { ++N[static_cast<unsigned>(E.Kind)]; });
+  return N;
+}
+
+} // namespace
+
+TEST(TraceVmTest, ProofsReusedAcrossSessions) {
+  // Validation verdicts and elision lists live in the PreparedModule's
+  // proof memo. A session whose proofs all come from the memo must be
+  // indistinguishable from the session that proved them and from one
+  // over a fresh PreparedModule: every counter (the digest-excluded
+  // validation, elision and JIT ones included), the exported profile and
+  // the telemetry events -- and it computes no module facts at all.
+  for (const WorkloadInfo &W : allWorkloads()) {
+    Module M = W.Build(W.DefaultScale / 4);
+    for (backend::BackendKind Tier : bothTiers()) {
+      std::string Ctx = std::string(W.Name) + "/" +
+                        (Tier == backend::BackendKind::Jit ? "jit" : "interp");
+      VmOptions Options = VmOptions()
+                              .backend(Tier)
+                              .validate(ValidateMode::On)
+                              .memElide(true)
+                              .telemetry(true)
+                              .telemetryCapacity(1u << 22);
+      PreparedModule PM(M);
+      TraceVM First(PM, Options);
+      First.run();
+      TraceVM Second(PM, Options);
+      Second.run();
+      PreparedModule FreshPM(M);
+      TraceVM Fresh(FreshPM, Options);
+      Fresh.run();
+
+      const VmStats &A = First.stats();
+      const VmStats &B = Second.stats();
+      const VmStats &C = Fresh.stats();
+      ASSERT_GT(A.TracesValidated, 0u) << Ctx;
+      ASSERT_GT(A.ProofCacheMisses, 0u) << Ctx;
+      EXPECT_EQ(B.ProofCacheMisses, 0u) << Ctx;
+      EXPECT_EQ(B.ProofCacheHits, A.ProofCacheHits + A.ProofCacheMisses)
+          << Ctx;
+      EXPECT_EQ(C.ProofCacheMisses, A.ProofCacheMisses) << Ctx;
+      for (const VmStats::FieldInfo &F : VmStats::fields()) {
+        if (!F.Counter || isProofMemoCounter(F))
+          continue;
+        EXPECT_EQ(A.*(F.Counter), B.*(F.Counter))
+            << Ctx << ": a remembered proof changed counter " << F.Key;
+        EXPECT_EQ(A.*(F.Counter), C.*(F.Counter))
+            << Ctx << ": a fresh module changed counter " << F.Key;
+      }
+      expectSameSeed(First.exportSeed(), Second.exportSeed(), Ctx);
+      expectSameSeed(First.exportSeed(), Fresh.exportSeed(), Ctx);
+      EXPECT_EQ(eventCounts(First), eventCounts(Second)) << Ctx;
+      EXPECT_EQ(eventCounts(First), eventCounts(Fresh)) << Ctx;
+
+      ASSERT_NE(First.moduleFacts(), nullptr) << Ctx;
+      EXPECT_GT(First.moduleFacts()->methodsComputed(), 0u) << Ctx;
+      EXPECT_EQ(Second.moduleFacts(), nullptr)
+          << Ctx << ": every proof was remembered, yet facts were computed";
+    }
+  }
+
+  // Nothing consumes facts: no validation, no annotation.
   const WorkloadInfo *W = findWorkload("javac");
   ASSERT_NE(W, nullptr);
   Module M = W->Build(W->DefaultScale / 4);
   PreparedModule PM(M);
-
-  // Validation, elision annotation and (on hosts with a JIT) lowering all
-  // consume the analysis; the session computes it once and every
-  // consumer borrows that one.
-  bool Jit = backend::jitSupportedHost();
-  TraceVM VM(PM, VmOptions()
-                     .backend(Jit ? backend::BackendKind::Jit
-                                  : backend::BackendKind::Interp)
-                     .validate(ValidateMode::On)
-                     .memElide(true));
-  VM.run();
-  ASSERT_GT(VM.stats().TracesValidated, 0u);
-  EXPECT_EQ(VM.moduleAnalysis().computeCount(), 1u);
-  if (Jit) {
-    ASSERT_GT(VM.stats().TracesJitCompiled, 0u);
-    const auto &J =
-        dynamic_cast<const backend::JitBackend &>(VM.traceBackend());
-    EXPECT_EQ(&J.moduleAnalysis(), &VM.moduleAnalysis());
-  }
-
-  // Nothing consumes it: no validation, no annotation, no promotion.
-  TraceVM Idle(PM, VmOptions()
-                       .backend(Jit ? backend::BackendKind::Jit
-                                    : backend::BackendKind::Interp)
-                       .validate(ValidateMode::Off)
-                       .memElide(false)
-                       .jitPromoteAfter(~0u));
+  TraceVM Idle(PM, VmOptions().validate(ValidateMode::Off).memElide(false));
   Idle.run();
   ASSERT_GT(Idle.stats().TracesConstructed, 0u);
-  EXPECT_EQ(Idle.stats().TracesJitCompiled, 0u);
-  EXPECT_EQ(Idle.moduleAnalysis().computeCount(), 0u);
+  EXPECT_EQ(Idle.stats().ProofCacheHits + Idle.stats().ProofCacheMisses, 0u);
+  EXPECT_EQ(Idle.moduleFacts(), nullptr);
+  EXPECT_EQ(PM.proofs().size(), 0u);
+}
+
+namespace {
+
+/// Runs \p M once with validation and elision on, then checks that every
+/// method whose facts the session computed on demand has exactly the
+/// facts ModuleAnalysis::compute gives it. Returns the methods checked.
+uint32_t expectOnDemandFactsMatch(const Module &M, VmOptions Options,
+                                  const std::string &Ctx) {
+  PreparedModule PM(M);
+  TraceVM VM(PM, Options.validate(ValidateMode::On).memElide(true));
+  VM.run();
+  const analysis::ModuleAnalysis *Lazy = VM.moduleFacts();
+  if (!Lazy)
+    return 0;
+  analysis::ModuleAnalysis Eager = analysis::ModuleAnalysis::compute(M);
+  uint32_t Checked = 0;
+  for (uint32_t F = 0; F < Lazy->numMethods(); ++F) {
+    if (!Lazy->isComputed(F))
+      continue;
+    ++Checked;
+    const analysis::MethodAnalysis *L = Lazy->method(F);
+    const analysis::MethodAnalysis *E = Eager.method(F);
+    EXPECT_EQ(L == nullptr, E == nullptr) << Ctx << ": method " << F;
+    if (!L || !E)
+      continue;
+    EXPECT_EQ(L->Cfg.numBlocks(), E->Cfg.numBlocks()) << Ctx << ": " << F;
+    if (L->Cfg.numBlocks() != E->Cfg.numBlocks())
+      continue;
+    for (uint32_t B = 0; B < L->Cfg.numBlocks(); ++B)
+      EXPECT_TRUE(L->Values.blockEntry(B) == E->Values.blockEntry(B))
+          << Ctx << ": method " << F << " block " << B;
+    for (uint32_t Pc = 0; Pc < M.Methods[F].Code.size(); ++Pc) {
+      EXPECT_EQ(L->Values.decisionAt(Pc), E->Values.decisionAt(Pc))
+          << Ctx << ": method " << F << " pc " << Pc;
+      EXPECT_TRUE(L->Liveness.liveIn(Pc) == E->Liveness.liveIn(Pc))
+          << Ctx << ": method " << F << " pc " << Pc;
+    }
+  }
+  return Checked;
+}
+
+} // namespace
+
+TEST(TraceVmTest, OnDemandFactsEqualEagerFacts) {
+  // A session computes facts only for the methods its proofs touch; each
+  // must be exactly what the whole-module analysis computes.
+  for (const WorkloadInfo &W : allWorkloads()) {
+    Module M = W.Build(W.DefaultScale);
+    uint32_t Checked = expectOnDemandFactsMatch(M, VmOptions(), W.Name);
+    EXPECT_GT(Checked, 0u) << W.Name;
+    EXPECT_LT(Checked, M.Methods.size()) << W.Name;
+  }
+  std::vector<std::string> Files;
+  for (const auto &Entry : std::filesystem::directory_iterator(JTC_CORPUS_DIR))
+    if (Entry.path().extension() == ".jasm")
+      Files.push_back(Entry.path().string());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  uint32_t CorpusChecked = 0;
+  for (const std::string &Path : Files) {
+    std::string Err;
+    std::optional<Module> M = parseModuleFile(Path, Err);
+    ASSERT_TRUE(M) << Path << ": " << Err;
+    ASSERT_TRUE(verifyModule(*M).empty()) << Path;
+    // The fuzz oracle's eager grid point: traces from the first signals.
+    CorpusChecked += expectOnDemandFactsMatch(
+        *M,
+        VmOptions().startStateDelay(1).decayInterval(32).maxInstructions(
+            20'000'000),
+        Path);
+  }
+  EXPECT_GT(CorpusChecked, 0u);
 }

@@ -853,6 +853,34 @@ TEST(ValidatorHookTest, RejectedTracesFallBackWithoutChangingBehaviour) {
   EXPECT_EQ(S.TraceValidationRejects, CS.ValidationRejects);
 }
 
+TEST(ValidatorHookTest, RememberedVerdictsAreKeyedByOptimizerConfig) {
+  // A clean session fills the module's proof memo with acceptances. A
+  // mutated optimizer over the same module must not be handed them: it
+  // is proved afresh and rejected with its typed reason, exactly as over
+  // a fresh module, and the rejections are remembered in turn.
+  Module M = testprog::hotLoop(100000);
+  PreparedModule PM(M);
+  std::unique_ptr<TraceVM> Clean = runHot(PM);
+  ASSERT_GT(Clean->stats().TracesValidated, 0u);
+  ASSERT_EQ(Clean->stats().TraceValidationRejects, 0u);
+
+  VmOptions Mutated = VmOptions().optConfig(mutated(UnsoundPass::DropGuard));
+  std::unique_ptr<TraceVM> Mutant = runHot(PM, Mutated);
+  const TraceCache::CacheStats &CS = Mutant->traceCache().stats();
+  EXPECT_GT(CS.ValidationRejects, 0u);
+  for (const auto &[Code, Count] : CS.RejectsByReason)
+    EXPECT_EQ(static_cast<Reason>(Code), Reason::GuardDropped);
+
+  PreparedModule FreshPM(M);
+  std::unique_ptr<TraceVM> Fresh = runHot(FreshPM, Mutated);
+  EXPECT_EQ(CS.RejectsByReason, Fresh->traceCache().stats().RejectsByReason);
+  EXPECT_EQ(Mutant->stats().digest(), Fresh->stats().digest());
+
+  std::unique_ptr<TraceVM> Again = runHot(PM, Mutated);
+  EXPECT_EQ(Again->stats().ProofCacheMisses, 0u);
+  EXPECT_EQ(Again->traceCache().stats().RejectsByReason, CS.RejectsByReason);
+}
+
 // The mirroring test reads the event ring, so it needs the
 // instrumentation compiled in; the counters it cross-checks against are
 // unconditional and covered above.
@@ -897,6 +925,28 @@ TEST(ValidatorHookTest, StrictModeAbortsOnRejection) {
         VM.run();
       },
       "rejected by translation validation");
+}
+
+TEST(ValidatorHookTest, StrictModeAbortsOnRememberedRejection) {
+  // The rejection is proved once and then comes from the module's proof
+  // memo; strict mode must abort on it all the same.
+  Module M = testprog::hotLoop(100000);
+  PreparedModule PM(M);
+  OptConfig Bad = mutated(UnsoundPass::DropGuard);
+  std::unique_ptr<TraceVM> Proved = runHot(PM, VmOptions().optConfig(Bad));
+  ASSERT_GT(Proved->stats().TraceValidationRejects, 0u);
+  std::unique_ptr<TraceVM> Remembered = runHot(PM, VmOptions().optConfig(Bad));
+  ASSERT_EQ(Remembered->stats().ProofCacheMisses, 0u)
+      << "the strict session below would not see remembered verdicts";
+  EXPECT_DEATH(
+      {
+        TraceVM VM(PM,
+                   VmOptions().validate(ValidateMode::Strict).optConfig(Bad));
+        VM.run();
+      },
+      // The remembered verdict carries the proof's specifics too.
+      "rejected by translation validation: validate/guard-dropped: guard 0 "
+      "has no optimized counterpart");
 }
 #endif
 
